@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use pwdb::hlu::{ClausalDatabase, GovernedError, HluProgram};
 use pwdb::logic::stress::seeded_exponential_pi_set;
-use pwdb::logic::{clauses_to_wff, with_engine, Budget, EngineMode, ExecError, Limits, Rng, Wff};
+use pwdb::logic::{clauses_to_wff, Budget, ExecError, Limits, Rng, Wff};
 use pwdb::store::{RetryPolicy, TestDir, WriteFaultKind, WriteFaults};
 use pwdb_metrics::json::Json;
 use pwdb_metrics::MetricsSnapshot;
@@ -95,32 +95,25 @@ fn main() {
     sections.push(section_json("adversarial_threshold_10m", wall_ns, &delta));
     summary.push(("adversarial_steps_at_abort".to_string(), Json::UInt(spent)));
 
-    // Abort latency under the interactive budget, per engine.
-    for (mode, name) in [
-        (EngineMode::Naive, "tight_budget_naive"),
-        (EngineMode::Indexed, "tight_budget_indexed"),
-    ] {
-        let (wall_ns, delta, ()) = section(|| {
-            with_engine(mode, || {
-                let mut db = ClausalDatabase::new();
-                let limits = Limits::budget(Budget::steps(TIGHT));
-                for stmt in corpus(CORPUS) {
-                    let spent = steps_at_abort(&db.run_governed(&stmt, &limits).unwrap_err());
-                    assert!(spent > TIGHT);
-                    assert_eq!(db.updates_run(), 0, "failed statements must roll back");
-                }
-            })
-        });
-        assert_eq!(
-            delta.counter("governor.stmt.budget_exceeded") as usize,
-            CORPUS
-        );
-        sections.push(section_json(name, wall_ns, &delta));
-        summary.push((
-            format!("abort_wall_ns_per_stmt_{name}"),
-            Json::UInt(wall_ns / CORPUS as u64),
-        ));
-    }
+    // Abort latency under the interactive budget.
+    let (wall_ns, delta, ()) = section(|| {
+        let mut db = ClausalDatabase::new();
+        let limits = Limits::budget(Budget::steps(TIGHT));
+        for stmt in corpus(CORPUS) {
+            let spent = steps_at_abort(&db.run_governed(&stmt, &limits).unwrap_err());
+            assert!(spent > TIGHT);
+            assert_eq!(db.updates_run(), 0, "failed statements must roll back");
+        }
+    });
+    assert_eq!(
+        delta.counter("governor.stmt.budget_exceeded") as usize,
+        CORPUS
+    );
+    sections.push(section_json("tight_budget_indexed", wall_ns, &delta));
+    summary.push((
+        "abort_wall_ns_per_stmt_tight_budget_indexed".to_string(),
+        Json::UInt(wall_ns / CORPUS as u64),
+    ));
 
     // Overhead of governing a benign workload: the same statement
     // stream, ungoverned vs under a generous budget.
@@ -175,7 +168,7 @@ fn main() {
     summary.push(("degraded_reads_served".to_string(), Json::UInt(reads)));
     summary.push((
         "budget_exceeded_statements".to_string(),
-        Json::UInt(1 + 2 * CORPUS as u64),
+        Json::UInt(1 + CORPUS as u64),
     ));
     drop(dir);
 

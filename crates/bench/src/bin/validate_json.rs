@@ -13,8 +13,8 @@
 //! - an `experiments`/`totals` document (from `report_metrics`) must have
 //!   every section decode back into a `MetricsSnapshot`;
 //! - an `index_comparison` document (from `report_index`) must have a
-//!   `naive` and an `indexed` snapshot per section, and a `summary` whose
-//!   every counter carries both engine totals;
+//!   `naive` (the `reference` oracle) and an `indexed` snapshot per
+//!   section, and a `summary` whose every counter carries both totals;
 //! - a `store_bench` document (from `report_store`) must have a numeric
 //!   `wall_ns` and a decodable `metrics` snapshot per section, and a
 //!   `summary` of numeric headline values;

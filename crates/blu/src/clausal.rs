@@ -23,7 +23,6 @@ use std::sync::OnceLock;
 
 use pwdb_logic::cache::MemoCache;
 use pwdb_logic::governor;
-use pwdb_logic::intern::{set_key, ClauseId};
 use pwdb_logic::resolution::{drop_atoms, rclosure_on_atom};
 use pwdb_logic::{AtomId, Clause, ClauseSet, Literal};
 use pwdb_metrics::{counter, histogram, timer};
@@ -31,12 +30,11 @@ use pwdb_trace::span;
 
 use crate::eval::BluSemantics;
 
-/// The genmask memo: keyed on (strategy, interned id sequence of the
-/// input), since the two strategies decide the same set but the key must
-/// not conflate them while one is being validated against the other.
-/// Pure — genmask is a function of the state — bounded, and bypassed
-/// under the naive engine.
-type GenmaskMemo = MemoCache<(u8, Box<[ClauseId]>), BTreeSet<AtomId>>;
+/// The genmask memo: keyed on (strategy, canonical input set), since the
+/// two strategies decide the same set but the key must not conflate them
+/// while one is being validated against the other. Pure — genmask is a
+/// function of the state — and bounded.
+type GenmaskMemo = MemoCache<(GenmaskStrategy, ClauseSet), BTreeSet<AtomId>>;
 
 fn genmask_cache() -> &'static GenmaskMemo {
     static CACHE: OnceLock<&'static GenmaskMemo> = OnceLock::new();
@@ -49,7 +47,7 @@ fn genmask_cache() -> &'static GenmaskMemo {
 }
 
 /// Which algorithm `genmask` uses for the (NP-complete) dependence test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GenmaskStrategy {
     /// Algorithm 2.3.8 as written: enumerate the `Ldiff` assignment pairs
     /// over `Prop[Phi]` and compare truth values — exponential in the
@@ -381,7 +379,7 @@ impl BluSemantics for BluClausal {
         }
         let out = {
             let _t = timer!("blu.genmask.wall").start();
-            let key = (self.genmask_strategy as u8, set_key(x));
+            let key = (self.genmask_strategy, x.clone());
             genmask_cache().get_or_insert_with(key, || match self.genmask_strategy {
                 GenmaskStrategy::PaperExhaustive => Self::genmask_paper(x),
                 GenmaskStrategy::SatBased => Self::genmask_sat(x),

@@ -155,7 +155,8 @@ impl ClausalDatabase {
     }
 
     /// Drops every memoized entry. Never needed for correctness (cache
-    /// keys are interned whole inputs); useful to isolate measurements.
+    /// keys are the whole inputs, compared exactly); useful to isolate
+    /// measurements.
     pub fn clear_caches(&self) {
         pwdb_logic::cache::clear_all();
     }

@@ -1,11 +1,11 @@
 //! Bounded memo caches for repeat-heavy derived structures.
 //!
 //! `genmask(Φ)`, the prime-implicate closure, and `Inset[Φ]` are pure
-//! functions of their (interned) inputs, and real update workloads call
-//! them again and again on the same states — every `insert` recomputes
-//! the genmask of its parameter, every `normalize` re-closes states that
-//! interleave with queries. A [`MemoCache`] keys each result on
-//! [`crate::intern::ClauseId`] sequences (or other hash-consed keys), so
+//! functions of their inputs, and real update workloads call them again
+//! and again on the same states — every `insert` recomputes the genmask
+//! of its parameter, every `normalize` re-closes states that interleave
+//! with queries. A [`MemoCache`] keys each result on the whole canonical
+//! input (a [`crate::ClauseSet`], a formula), compared exactly, so
 //! staleness is impossible by construction: a changed state is a
 //! different key. Invalidation therefore exists for *memory*, not for
 //! correctness — caches are bounded ([`MemoCache::new`]'s capacity) and
@@ -13,11 +13,7 @@
 //! (`assert`/`combine`) report through [`note_state_change`], which
 //! drives the same bounded eviction. The metamorphic tests
 //! (`tests/cache_metamorphic.rs`) pin the soundness claim: interleaved
-//! updates with caching on answer exactly like a fresh engine.
-//!
-//! Under [`EngineMode::Naive`] every cache is bypassed, so the naive
-//! engine reproduces pre-index behavior bit for bit — which is what lets
-//! the differential harness compare engines rather than cache hits.
+//! updates with caching on answer exactly like a cache-cleared run.
 //!
 //! Hit/miss/eviction counts are kept per cache (visible through
 //! [`all_stats`] — the shell's `:cache` command) and mirrored into
@@ -28,9 +24,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use pwdb_metrics::counter;
-
-use crate::engine::{engine_mode, EngineMode};
+use pwdb_metrics::{counter, Counter};
 
 /// A point-in-time view of one cache, for the shell's `:cache` command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,8 +102,8 @@ pub struct MemoCache<K, V> {
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
-    hits_counter: &'static str,
-    misses_counter: &'static str,
+    hits_counter: &'static Counter,
+    misses_counter: &'static Counter,
 }
 
 impl<K: Eq + Hash, V: Clone> MemoCache<K, V> {
@@ -117,6 +111,8 @@ impl<K: Eq + Hash, V: Clone> MemoCache<K, V> {
     /// the bound the whole table is flushed (wholesale eviction keeps the
     /// hot path to one lock and no bookkeeping).
     pub fn new(name: &'static str, cap: usize) -> Self {
+        let counter =
+            |suffix: &str| pwdb_metrics::counter(Box::leak(format!("{name}.{suffix}").into()));
         MemoCache {
             name,
             cap: cap.max(1),
@@ -124,8 +120,8 @@ impl<K: Eq + Hash, V: Clone> MemoCache<K, V> {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
-            hits_counter: Box::leak(format!("{name}.hits").into_boxed_str()),
-            misses_counter: Box::leak(format!("{name}.misses").into_boxed_str()),
+            hits_counter: counter("hits"),
+            misses_counter: counter("misses"),
         }
     }
 
@@ -140,17 +136,13 @@ impl<K: Eq + Hash, V: Clone> MemoCache<K, V> {
         self
     }
 
-    /// The memoized value of `f` at `key`. Under
-    /// [`EngineMode::Naive`] the cache is bypassed entirely.
+    /// The memoized value of `f` at `key`.
     pub fn get_or_insert_with(&self, key: K, f: impl FnOnce() -> V) -> V {
-        if engine_mode() == EngineMode::Naive {
-            return f();
-        }
         {
             let map = self.map.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(v) = map.get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                pwdb_metrics::counter(self.hits_counter).inc();
+                self.hits_counter.inc();
                 return v.clone();
             }
         }
@@ -158,7 +150,7 @@ impl<K: Eq + Hash, V: Clone> MemoCache<K, V> {
         // consult other caches). Racing computations insert-last-wins.
         let v = f();
         self.misses.fetch_add(1, Ordering::Relaxed);
-        pwdb_metrics::counter(self.misses_counter).inc();
+        self.misses_counter.inc();
         let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
         if map.len() >= self.cap {
             map.clear();
@@ -197,7 +189,6 @@ impl<K: Eq + Hash + Send, V: Clone + Send> CacheControl for MemoCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::with_engine;
 
     fn test_cache() -> &'static MemoCache<u64, u64> {
         static CACHE: OnceLock<MemoCache<u64, u64>> = OnceLock::new();
@@ -229,21 +220,5 @@ mod tests {
         }
         assert!(cache.stats().entries <= 2);
         assert!(cache.stats().invalidations >= 1);
-    }
-
-    #[test]
-    fn naive_mode_bypasses() {
-        let cache: MemoCache<u64, u64> = MemoCache::new("logic.cache.bypass_test", 8);
-        with_engine(EngineMode::Naive, || {
-            let mut calls = 0;
-            for _ in 0..3 {
-                cache.get_or_insert_with(7, || {
-                    calls += 1;
-                    1
-                });
-            }
-            assert_eq!(calls, 3);
-            assert_eq!(cache.stats().entries, 0);
-        });
     }
 }

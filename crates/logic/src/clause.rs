@@ -152,7 +152,7 @@ impl Clause {
     /// Whether every literal of `self` occurs in `other` (subsumption).
     ///
     /// Every call is counted in `logic.subsumption.comparisons` — the
-    /// op-cost measure the naive-vs-indexed engine comparison
+    /// op-cost measure the reference-vs-indexed comparison
     /// (`report_index`, `BENCH_index.json`) is keyed on.
     pub fn subsumes(&self, other: &Clause) -> bool {
         counter!("logic.subsumption.comparisons").inc();

@@ -144,30 +144,25 @@ impl ClauseSet {
     /// dropped. A model-preserving reduction used by the optimized BLU-C
     /// operations.
     ///
-    /// Both engines compute the same canonical result — the unique
-    /// subsumption-minimal members (distinct equal-length clauses never
-    /// subsume each other, so "subsumed by another member" is a strict
-    /// order on lengths). The naive engine scans all pairs; the indexed
-    /// engine re-inserts ascending by length through the occurrence
-    /// index, where only forward checks can fire.
+    /// The result is canonical — the unique subsumption-minimal members
+    /// (distinct equal-length clauses never subsume each other, so
+    /// "subsumed by another member" is a strict order on lengths) — and
+    /// equals the all-pairs scan of [`crate::reference::reduce_subsumed`].
+    /// Members are re-inserted ascending by length through the
+    /// occurrence index, where only forward checks can fire.
     pub fn reduce_subsumed(&mut self) -> usize {
         let sp = pwdb_trace::span!("logic.subsumption.sweep", "clauses_in" => self.clauses.len());
-        let dropped = match crate::engine::engine_mode() {
-            crate::engine::EngineMode::Naive => crate::reference::reduce_subsumed(self),
-            crate::engine::EngineMode::Indexed => {
-                let before = self.clauses.len();
-                let mut order: Vec<Clause> = self.clauses.iter().cloned().collect();
-                order.sort_by_key(Clause::len);
-                let mut idx = crate::index::IndexedClauseSet::new();
-                for c in order {
-                    // Raw variant: an existing tautology is a member like
-                    // any other here (removable, but not auto-dropped).
-                    idx.insert_with_subsumption_raw(c);
-                }
-                *self = idx.to_set();
-                before - self.clauses.len()
-            }
-        };
+        let before = self.clauses.len();
+        let mut order: Vec<Clause> = self.clauses.iter().cloned().collect();
+        order.sort_by_key(Clause::len);
+        let mut idx = crate::index::IndexedClauseSet::new();
+        for c in order {
+            // Raw variant: an existing tautology is a member like any
+            // other here (removable, but not auto-dropped).
+            idx.insert_with_subsumption_raw(c);
+        }
+        *self = idx.to_set();
+        let dropped = before - self.clauses.len();
         sp.attr("dropped", dropped);
         dropped
     }

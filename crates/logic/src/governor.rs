@@ -18,9 +18,9 @@
 //! charges the combined length of the pair, a DPLL/counting node charges
 //! the number of clauses scanned, and `genmask`'s truth-table strategy
 //! charges its full `2^k · |Φ|` table up front (admission control: if the
-//! budget cannot afford the table, it fails before building it). Both the
-//! naive and the indexed engine charge through the same entry points, so
-//! a budget bounds either engine identically.
+//! budget cannot afford the table, it fails before building it). The
+//! indexed entry points and their [`crate::reference`] twins charge the
+//! same way, so a budget bounds either identically.
 //!
 //! # Mechanism
 //!

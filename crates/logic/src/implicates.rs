@@ -24,20 +24,17 @@ use pwdb_trace::span;
 use crate::atom::AtomId;
 use crate::cache::MemoCache;
 use crate::clause_set::ClauseSet;
-use crate::engine::{engine_mode, EngineMode};
 use crate::index::{IndexedClauseSet, Slot};
-use crate::intern::{set_key, ClauseId};
 use crate::literal::Literal;
 use crate::resolution::resolvent;
 
-/// The prime-implicate memo: keyed on the interned id sequence of the
-/// input set, so equal sets hit regardless of how they were built. Pure
-/// (the closure is a function of the set), bounded, bypassed under the
-/// naive engine.
-fn pi_cache() -> &'static MemoCache<Box<[ClauseId]>, ClauseSet> {
-    static CACHE: OnceLock<&'static MemoCache<Box<[ClauseId]>, ClauseSet>> = OnceLock::new();
+/// The prime-implicate memo: keyed on the canonical input set itself, so
+/// equal sets hit regardless of how they were built. Pure (the closure
+/// is a function of the set) and bounded.
+fn pi_cache() -> &'static MemoCache<ClauseSet, ClauseSet> {
+    static CACHE: OnceLock<&'static MemoCache<ClauseSet, ClauseSet>> = OnceLock::new();
     CACHE.get_or_init(|| {
-        static INNER: OnceLock<MemoCache<Box<[ClauseId]>, ClauseSet>> = OnceLock::new();
+        static INNER: OnceLock<MemoCache<ClauseSet, ClauseSet>> = OnceLock::new();
         INNER
             .get_or_init(|| MemoCache::new("logic.cache.prime_implicates", 512))
             .register()
@@ -50,18 +47,13 @@ fn pi_cache() -> &'static MemoCache<Box<[ClauseId]>, ClauseSet> {
 /// input (no models excluded) the result is empty.
 ///
 /// Tison's fixpoint is canonical (the subsumption-minimal one-atom
-/// closures are unique), so the naive engine
+/// closures are unique), so the round-based oracle
 /// ([`crate::reference::prime_implicates`]) and the indexed worklist
-/// below return bit-identical sets; the indexed engine additionally
-/// memoizes whole closures on the interned key of the input.
+/// below return bit-identical sets; whole closures are memoized on the
+/// input set.
 pub fn prime_implicates(set: &ClauseSet) -> ClauseSet {
     let sp = span!("logic.implicates.prime", "clauses_in" => set.len());
-    let out = match engine_mode() {
-        EngineMode::Naive => crate::reference::prime_implicates(set),
-        EngineMode::Indexed => {
-            pi_cache().get_or_insert_with(set_key(set), || prime_implicates_indexed(set))
-        }
-    };
+    let out = pi_cache().get_or_insert_with(set.clone(), || prime_implicates_indexed(set));
     sp.attr("clauses_out", out.len());
     out
 }

@@ -39,12 +39,10 @@ pub mod clause_set;
 pub mod cnf;
 pub mod counting;
 pub mod dpll;
-pub mod engine;
 pub mod error;
 pub mod governor;
 pub mod implicates;
 pub mod index;
-pub mod intern;
 pub mod literal;
 pub mod parser;
 pub mod reference;
@@ -63,12 +61,10 @@ pub use clause_set::ClauseSet;
 pub use cnf::{clauses_to_wff, cnf_of};
 pub use counting::{count_models, try_count_models};
 pub use dpll::{entails, entails_clauses, equivalent, is_satisfiable, Solver};
-pub use engine::{engine_mode, set_engine_mode, with_engine, EngineMode};
 pub use error::{LogicError, Result};
 pub use governor::{govern, Budget, CancelToken, ExecError, Limits, Resource};
 pub use implicates::{is_implicate, is_prime_implicate, prime_implicates};
 pub use index::IndexedClauseSet;
-pub use intern::ClauseId;
 pub use literal::Literal;
 pub use parser::{parse_clause, parse_clause_set, parse_wff};
 pub use rng::Rng;

@@ -1,20 +1,18 @@
-//! The naive clausal engine, preserved as the differential oracle.
+//! The paper-direct clausal algorithms, preserved as the differential
+//! oracle.
 //!
-//! These are the paper-direct pairwise algorithms that predate the
-//! literal-occurrence index: every subsumption probe scans the whole set
-//! and every resolution round re-tries every pair. They are kept — not
-//! deleted — because they are the *specification* the indexed engine in
-//! [`crate::index`] is measured against: the differential harness
-//! (`tests/index_differential.rs`) runs both engines over seeded
-//! programs and requires bit-identical clause sets, and the
-//! `report_index` bench binary runs both over the E1–E5 workloads to
-//! quantify the saved subsumption comparisons and resolvent pairs.
-//!
-//! Dispatch happens in the public entry points
-//! ([`ClauseSet::reduce_subsumed`],
+//! These are the pairwise algorithms that predate the literal-occurrence
+//! index: every subsumption probe scans the whole set and every
+//! resolution round re-tries every pair. They are kept — not deleted —
+//! because they are the *specification* the indexed code in
+//! [`crate::index`] is measured against. Each has a public twin that
+//! production code calls ([`ClauseSet::reduce_subsumed`],
 //! [`crate::subsumption::merge_with_subsumption`],
-//! [`crate::resolution::saturate`], [`crate::prime_implicates`]) on
-//! [`crate::engine::engine_mode`].
+//! [`crate::resolution::saturate`], [`crate::prime_implicates`]); the
+//! differential harness (`tests/index_differential.rs`) calls both on
+//! seeded inputs and requires bit-identical clause sets, and the
+//! `report_index` bench binary calls both over the E1–E5 workloads to
+//! quantify the saved subsumption comparisons and resolvent pairs.
 
 use pwdb_metrics::counter;
 
@@ -95,7 +93,7 @@ pub fn merge_with_subsumption(set: &mut ClauseSet, other: &ClauseSet) -> usize {
 /// snapshot, with a full subsumption scan per resolvent.
 pub fn saturate(set: &ClauseSet) -> ClauseSet {
     let mut current = set.clone();
-    current.reduce_subsumed();
+    reduce_subsumed(&mut current);
     loop {
         let mut added = false;
         let atoms: Vec<AtomId> = current.props().into_iter().collect();
@@ -126,10 +124,10 @@ pub fn saturate(set: &ClauseSet) -> ClauseSet {
             }
         }
         if !added {
-            current.reduce_subsumed();
+            reduce_subsumed(&mut current);
             return current;
         }
-        current.reduce_subsumed();
+        reduce_subsumed(&mut current);
     }
 }
 

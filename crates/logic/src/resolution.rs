@@ -82,16 +82,13 @@ pub fn drop_atoms(set: &ClauseSet, atoms: &BTreeSet<AtomId>) -> ClauseSet {
 /// exponential, as the paper's complexity discussion (§2.3.6) warns.
 ///
 /// The fixpoint is canonical — the subsumption-minimal elements of the
-/// resolution closure — so the naive round-based engine
-/// ([`crate::reference::saturate`]) and the indexed worklist engine
+/// resolution closure — so the round-based oracle
+/// ([`crate::reference::saturate`]) and the indexed worklist
 /// ([`saturate_indexed`]) return bit-identical sets; only the number of
 /// resolvent pairs tried (`logic.resolution.pairs_tried`) differs.
 pub fn saturate(set: &ClauseSet) -> ClauseSet {
     let sp = span!("logic.resolution.saturate", "clauses_in" => set.len());
-    let out = match crate::engine::engine_mode() {
-        crate::engine::EngineMode::Naive => crate::reference::saturate(set),
-        crate::engine::EngineMode::Indexed => saturate_indexed(set),
-    };
+    let out = saturate_indexed(set);
     sp.attr("clauses_out", out.len());
     out
 }
@@ -100,15 +97,14 @@ pub fn saturate(set: &ClauseSet) -> ClauseSet {
 /// worklist seeded units-first (ascending clause length). Each clause is
 /// popped once and resolved only against the occurrence lists of its own
 /// literals' complements — no round ever re-tries old × old pairs, which
-/// is where the naive engine burns its `pairs_tried` budget.
+/// is where the round-based oracle burns its `pairs_tried` budget.
 fn saturate_indexed(set: &ClauseSet) -> ClauseSet {
     let mut idx = crate::index::IndexedClauseSet::new();
     let mut order: Vec<Clause> = set.iter().cloned().collect();
     order.sort_by_key(Clause::len);
     for c in order {
         // Raw insert: input tautologies stay members unless subsumed,
-        // exactly as the naive engine's initial reduce_subsumed leaves
-        // them.
+        // exactly as the oracle's initial reduce_subsumed leaves them.
         idx.insert_with_subsumption_raw(c);
     }
     let mut queue: Vec<crate::index::Slot> = idx.live_slots();

@@ -8,7 +8,6 @@
 
 use crate::clause::Clause;
 use crate::clause_set::ClauseSet;
-use crate::engine::{engine_mode, EngineMode};
 use crate::index::IndexedClauseSet;
 
 /// Returns `true` iff some member of `set` subsumes `clause`.
@@ -24,33 +23,29 @@ pub fn is_subsumed_by(set: &ClauseSet, clause: &Clause) -> bool {
 /// and made insert/merge return counts asymmetric between engines).
 /// Returns whether `set` changed.
 ///
-/// A single insert cannot amortize an index build, so both engines share
-/// the scan-based path; the bulk operations ([`merge_with_subsumption`],
-/// [`ClauseSet::reduce_subsumed`], the resolution closures) are the ones
-/// that dispatch to [`IndexedClauseSet`].
+/// A single insert cannot amortize an index build, so this one is a
+/// scan over the set; the bulk operations ([`merge_with_subsumption`],
+/// [`ClauseSet::reduce_subsumed`], the resolution closures) run on
+/// [`IndexedClauseSet`], whose
+/// [`insert_with_subsumption`](IndexedClauseSet::insert_with_subsumption)
+/// keeps the same contract.
 pub fn insert_with_subsumption(set: &mut ClauseSet, clause: Clause) -> bool {
     crate::reference::insert_with_subsumption(set, clause)
 }
 
 /// Merges `other` into `set` with subsumption, returning the number of
-/// clauses actually added. Under the indexed engine the target set is
-/// indexed once and every member of `other` is inserted through the
-/// occurrence lists; the naive engine scans the whole set per member.
+/// clauses actually added. The target set is indexed once and every
+/// member of `other` is inserted through the occurrence lists.
 pub fn merge_with_subsumption(set: &mut ClauseSet, other: &ClauseSet) -> usize {
-    match engine_mode() {
-        EngineMode::Naive => crate::reference::merge_with_subsumption(set, other),
-        EngineMode::Indexed => {
-            let mut idx = IndexedClauseSet::from_set(set);
-            let mut added = 0;
-            for c in other.iter() {
-                if idx.insert_with_subsumption(c.clone()) {
-                    added += 1;
-                }
-            }
-            *set = idx.to_set();
-            added
+    let mut idx = IndexedClauseSet::from_set(set);
+    let mut added = 0;
+    for c in other.iter() {
+        if idx.insert_with_subsumption(c.clone()) {
+            added += 1;
         }
     }
+    *set = idx.to_set();
+    added
 }
 
 #[cfg(test)]

@@ -38,8 +38,7 @@ use crate::World;
 
 /// The `Inset[Φ]` memo: keyed on the formula AST plus the universe size
 /// (the same wff over a larger universe has the same inset, but the key
-/// stays exact rather than clever). Pure, bounded, bypassed under the
-/// naive engine.
+/// stays exact rather than clever). Pure and bounded.
 type InsetMemo = MemoCache<(usize, Wff), Vec<Vec<Literal>>>;
 
 fn inset_cache() -> &'static InsetMemo {

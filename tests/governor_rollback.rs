@@ -19,12 +19,12 @@
 //!    overshoot.
 //! 3. **Failure is transactional**: after every failed statement the
 //!    database — state, update count, history — is bit-identical to its
-//!    pre-statement snapshot, under both engines, and a failed statement
+//!    pre-statement snapshot, and a failed statement
 //!    never reaches the WAL, so recovery reproduces exactly the committed
 //!    prefix.
 
 use pwdb::hlu::{ClausalDatabase, DurableError, GovernedError, HluProgram};
-use pwdb::logic::{with_engine, Budget, EngineMode, ExecError, Limits, Resource};
+use pwdb::logic::{Budget, ExecError, Limits, Resource};
 use pwdb::store::TestDir;
 use pwdb_suite::testgen;
 
@@ -61,44 +61,36 @@ fn assert_steps_exceeded(err: &GovernedError, limit: u64) {
 
 #[test]
 fn corpus_exceeds_ten_million_steps_ungoverned() {
-    for mode in [EngineMode::Naive, EngineMode::Indexed] {
-        with_engine(mode, || {
-            let mut db = ClausalDatabase::new();
-            let limits = Limits::budget(Budget::steps(THRESHOLD));
-            let err = db.run_governed(&corpus(1)[0], &limits).unwrap_err();
-            assert_steps_exceeded(&err, THRESHOLD);
-        });
-    }
+    let mut db = ClausalDatabase::new();
+    let limits = Limits::budget(Budget::steps(THRESHOLD));
+    let err = db.run_governed(&corpus(1)[0], &limits).unwrap_err();
+    assert_steps_exceeded(&err, THRESHOLD);
 }
 
 #[test]
 fn tight_budget_bounds_every_statement_and_rolls_back() {
-    for mode in [EngineMode::Naive, EngineMode::Indexed] {
-        with_engine(mode, || {
-            let mut db = ClausalDatabase::new();
-            // Non-trivial pre-state so rollback has something to restore.
-            db.run(&parse_stmt("(insert {A1 | A2})"));
-            db.run(&parse_stmt("(assert {A3})"));
-            let pre_state = db.state().clone();
-            let pre_history = db.history().to_vec();
-            let pre_updates = db.updates_run();
+    let mut db = ClausalDatabase::new();
+    // Non-trivial pre-state so rollback has something to restore.
+    db.run(&parse_stmt("(insert {A1 | A2})"));
+    db.run(&parse_stmt("(assert {A3})"));
+    let pre_state = db.state().clone();
+    let pre_history = db.history().to_vec();
+    let pre_updates = db.updates_run();
 
-            let limits = Limits::budget(Budget::steps(TIGHT));
-            for stmt in corpus(3) {
-                let err = db.run_governed(&stmt, &limits).unwrap_err();
-                assert_steps_exceeded(&err, TIGHT);
-                assert_eq!(db.state(), &pre_state, "state must roll back ({mode:?})");
-                assert_eq!(db.history(), &pre_history[..], "history must roll back");
-                assert_eq!(db.updates_run(), pre_updates);
-            }
-
-            // The same budget is ample for ordinary statements: the
-            // governed path still commits real work.
-            db.run_governed(&parse_stmt("(delete {A2})"), &limits)
-                .expect("benign statement commits under the same budget");
-            assert_eq!(db.updates_run(), pre_updates + 1);
-        });
+    let limits = Limits::budget(Budget::steps(TIGHT));
+    for stmt in corpus(3) {
+        let err = db.run_governed(&stmt, &limits).unwrap_err();
+        assert_steps_exceeded(&err, TIGHT);
+        assert_eq!(db.state(), &pre_state, "state must roll back");
+        assert_eq!(db.history(), &pre_history[..], "history must roll back");
+        assert_eq!(db.updates_run(), pre_updates);
     }
+
+    // The same budget is ample for ordinary statements: the governed path
+    // still commits real work.
+    db.run_governed(&parse_stmt("(delete {A2})"), &limits)
+        .expect("benign statement commits under the same budget");
+    assert_eq!(db.updates_run(), pre_updates + 1);
 }
 
 #[test]

@@ -1,41 +1,85 @@
 //! Differential oracle: the indexed clausal engine must be observably
-//! identical to the naive reference engine.
+//! identical to the paper-direct algorithms kept in
+//! `pwdb::logic::reference`.
 //!
-//! Every test runs the same seeded computation twice — once under
-//! `EngineMode::Naive` (full-set scans, round-based closures, memo caches
-//! bypassed) and once under `EngineMode::Indexed` (literal-occurrence
-//! lists, signature filters, semi-naive worklists, interned-key memos) —
-//! and asserts bit-identical results. Together the suites replay well
-//! over 200 seeded programs: raw engine operations, all five BLU-C
-//! primitives under the reduced algebra, full HLU scripts checked against
-//! the possible-worlds backend, `Inset[Φ]` computations, and the
-//! emulation squares of Theorems 2.3.4/2.3.6/2.3.9.
+//! Every comparison calls a `reference::` algorithm (full-set scans,
+//! round-based closures, no memo) and its production twin (literal-
+//! occurrence lists, signature filters, semi-naive worklists, memoized
+//! closures) on the same input and asserts bit-identical results. The
+//! whole-stack cases — all BLU-C primitives under the reduced algebra,
+//! full HLU scripts, the emulation squares of Theorems 2.3.4/2.3.6/2.3.9
+//! — run once against their semantic oracles (the possible-worlds
+//! backend, `check_states`) and feed every clause set they produce
+//! through the same engine-vs-reference comparison.
 
 use std::collections::BTreeSet;
+use std::fmt::Debug;
 
 use pwdb::blu::{check_states, BluClausal, BluSemantics, GenmaskStrategy};
 use pwdb::hlu::{ClausalDatabase, HluProgram, InstanceDatabase};
 use pwdb::logic::resolution::saturate;
-use pwdb::logic::subsumption::{insert_with_subsumption, merge_with_subsumption};
-use pwdb::logic::{prime_implicates, with_engine, ClauseSet, EngineMode, Rng};
+use pwdb::logic::subsumption::merge_with_subsumption;
+use pwdb::logic::{
+    cache, prime_implicates, reference, AtomId, Clause, ClauseSet, IndexedClauseSet, Rng,
+};
 use pwdb::worlds::{inset, WorldSet};
 use pwdb_suite::testgen;
 
 const N_ATOMS: usize = 5;
 
-/// Runs `f` under both engines and asserts the results agree; returns the
-/// indexed result. The closure must be deterministic — it is evaluated
-/// twice from the same inputs.
-fn run_both<T: PartialEq + std::fmt::Debug>(ctx: &str, f: impl Fn() -> T) -> T {
-    let naive = with_engine(EngineMode::Naive, &f);
-    let indexed = with_engine(EngineMode::Indexed, &f);
-    assert_eq!(naive, indexed, "engines diverged on {ctx}");
-    indexed
+/// Asserts that the reference result and the engine result agree.
+fn run_both<T: PartialEq + Debug>(ctx: &str, reference: T, indexed: T) {
+    assert_eq!(
+        reference, indexed,
+        "engine diverged from reference on {ctx}"
+    );
 }
 
-/// Raw engine operations: subsumption reduction (result *and* drop
-/// count), single insert (result and return flag), merge (result and
-/// added count), saturation, and prime implicates.
+/// Runs a mutating operation on a copy of `set`, returning the resulting
+/// set and the operation's count or flag.
+fn on_copy<T>(set: &ClauseSet, op: impl FnOnce(&mut ClauseSet) -> T) -> (ClauseSet, T) {
+    let mut s = set.clone();
+    let out = op(&mut s);
+    (s, out)
+}
+
+/// A single insert through the literal-occurrence index — the insert
+/// that `merge_with_subsumption` and `reduce_subsumed` are built on.
+fn indexed_insert(set: &mut ClauseSet, clause: Clause) -> bool {
+    let mut idx = IndexedClauseSet::from_set(set);
+    let added = idx.insert_with_subsumption(clause);
+    *set = idx.to_set();
+    added
+}
+
+/// The four engine entry points agree bit-for-bit with their reference
+/// twins on `set`: subsumption reduction (result and drop count), merging
+/// `other` in (result and added count), saturation, and prime implicates.
+fn engine_agrees(ctx: &str, set: &ClauseSet, other: &ClauseSet) {
+    run_both(
+        &format!("reduce_subsumed {ctx}"),
+        on_copy(set, reference::reduce_subsumed),
+        on_copy(set, ClauseSet::reduce_subsumed),
+    );
+    run_both(
+        &format!("merge_with_subsumption {ctx}"),
+        on_copy(set, |s| reference::merge_with_subsumption(s, other)),
+        on_copy(set, |s| merge_with_subsumption(s, other)),
+    );
+    run_both(
+        &format!("saturate {ctx}"),
+        reference::saturate(set),
+        saturate(set),
+    );
+    run_both(
+        &format!("prime_implicates {ctx}"),
+        reference::prime_implicates(set),
+        prime_implicates(set),
+    );
+}
+
+/// Raw engine operations: the four entry points plus a single insert
+/// (result and return flag) through the index.
 #[test]
 fn raw_operations_agree() {
     let mut rng = Rng::new(0xD1F1);
@@ -44,30 +88,19 @@ fn raw_operations_agree() {
         let b = testgen::clause_set(&mut rng, N_ATOMS, 5, 3);
         let c = testgen::clause(&mut rng, N_ATOMS, 4);
 
-        run_both(&format!("reduce_subsumed #{case}"), || {
-            let mut s = a.clone();
-            let dropped = s.reduce_subsumed();
-            (s, dropped)
-        });
-        run_both(&format!("insert_with_subsumption #{case}"), || {
-            let mut s = a.clone();
-            let added = insert_with_subsumption(&mut s, c.clone());
-            (s, added)
-        });
-        run_both(&format!("merge_with_subsumption #{case}"), || {
-            let mut s = a.clone();
-            let added = merge_with_subsumption(&mut s, &b);
-            (s, added)
-        });
-        run_both(&format!("saturate #{case}"), || saturate(&a));
-        run_both(&format!("prime_implicates #{case}"), || {
-            prime_implicates(&a)
-        });
+        engine_agrees(&format!("#{case}"), &a, &b);
+        run_both(
+            &format!("insert_with_subsumption #{case}"),
+            on_copy(&a, |s| reference::insert_with_subsumption(s, c.clone())),
+            on_copy(&a, |s| indexed_insert(s, c.clone())),
+        );
     }
 }
 
-/// All five BLU-C primitives under the optimized (reduced) algebra, with
-/// both genmask strategies.
+/// All five BLU-C primitives under the optimized (reduced) algebra: the
+/// operands, the reduced outputs and the paper-exact outputs (the sets
+/// the reduced algebra sweeps) all go through the engine comparison, and
+/// both genmask strategies must compute the semantic `Dep` of the state.
 #[test]
 fn blu_primitives_agree() {
     let mut rng = Rng::new(0xD1F2);
@@ -75,27 +108,43 @@ fn blu_primitives_agree() {
         let x = testgen::clause_set(&mut rng, N_ATOMS, 5, 4);
         let y = testgen::clause_set(&mut rng, N_ATOMS, 4, 3);
         let m = testgen::mask(&mut rng, N_ATOMS, 2);
+        engine_agrees(&format!("primitives #{case} operand x"), &x, &y);
+        engine_agrees(&format!("primitives #{case} operand y"), &y, &x);
+        for (name, alg) in [
+            ("reduced", BluClausal::new().with_reduction(true)),
+            ("exact", BluClausal::new()),
+        ] {
+            let outputs = [
+                ("assert", alg.op_assert(&x, &y)),
+                ("combine", alg.op_combine(&x, &y)),
+                ("complement", alg.op_complement(&x)),
+                ("mask", alg.op_mask(&x, &m)),
+            ];
+            for (op, out) in &outputs {
+                engine_agrees(&format!("primitives #{case} {name} {op}"), out, &x);
+            }
+        }
+        let dep: BTreeSet<AtomId> = WorldSet::from_clauses(N_ATOMS, &y)
+            .dep()
+            .into_iter()
+            .collect();
         for strategy in [GenmaskStrategy::PaperExhaustive, GenmaskStrategy::SatBased] {
             let alg = BluClausal::new()
                 .with_reduction(true)
                 .with_genmask(strategy);
-            run_both(&format!("primitives #{case} {strategy:?}"), || {
-                (
-                    alg.op_assert(&x, &y),
-                    alg.op_combine(&x, &y),
-                    alg.op_complement(&x),
-                    alg.op_mask(&x, &m),
-                    alg.op_genmask(&y),
-                )
-            });
+            assert_eq!(
+                alg.op_genmask(&y),
+                dep,
+                "primitives #{case} {strategy:?}: genmask != Dep"
+            );
         }
     }
 }
 
-/// Full HLU scripts on the reduced clausal backend: both engines must
-/// produce identical clause states and query answers at every step, and
-/// each must still denote the same worlds as the instance-level backend
-/// (the Theorem 3.1.4 soundness oracle).
+/// Full HLU scripts on the reduced clausal backend: the clause state and
+/// the query answers after every statement must match the instance-level
+/// backend (the Theorem 3.1.4 soundness oracle), and every state goes
+/// through the engine comparison.
 #[test]
 fn hlu_scripts_agree() {
     let mut rng = Rng::new(0xD1F3);
@@ -105,55 +154,49 @@ fn hlu_scripts_agree() {
             .collect();
         let queries: Vec<_> = (0..3).map(|_| testgen::wff(&mut rng, N_ATOMS, 2)).collect();
 
-        let trace = run_both(&format!("hlu script #{case}"), || {
-            let mut db = ClausalDatabase::new_reduced();
-            let mut steps = Vec::new();
-            for (i, prog) in script.iter().enumerate() {
-                db.run(prog);
-                if i % 2 == 1 {
-                    db.normalize();
-                }
-                let answers: Vec<(bool, bool)> = queries
-                    .iter()
-                    .map(|q| (db.is_certain(q), db.is_possible(q)))
-                    .collect();
-                steps.push((db.state().clone(), answers));
-            }
-            steps
-        });
-
-        // The shared result must also be semantically right: replay the
-        // script world-by-world and compare denotations.
+        let mut db = ClausalDatabase::new_reduced();
         let mut instance = InstanceDatabase::with_atoms(N_ATOMS);
-        for (prog, (state, _)) in script.iter().zip(&trace) {
+        for (i, prog) in script.iter().enumerate() {
+            let before = db.state().clone();
+            db.run(prog);
+            if i % 2 == 1 {
+                db.normalize();
+            }
             instance.run(prog);
             assert_eq!(
-                &WorldSet::from_clauses(N_ATOMS, state),
+                &WorldSet::from_clauses(N_ATOMS, db.state()),
                 instance.state(),
                 "case {case}: clausal state diverged from world semantics after {prog}"
             );
+            for q in &queries {
+                assert_eq!(
+                    (db.is_certain(q), db.is_possible(q)),
+                    (instance.is_certain(q), instance.is_possible(q)),
+                    "case {case}: answers to {q} diverged after {prog}"
+                );
+            }
+            engine_agrees(&format!("hlu script #{case} step {i}"), db.state(), &before);
         }
     }
 }
 
-/// `Inset[Φ]` (Definition 1.4.4): the memoized indexed path and the
-/// cache-bypassing naive path enumerate the same complete literal sets —
-/// including on the second call, which the indexed engine answers from
-/// the memo.
+/// `Inset[Φ]` (Definition 1.4.4): the memoized path — a first call and a
+/// repeat the memo answers — enumerates the same complete literal sets as
+/// a call on cleared caches.
 #[test]
 fn inset_agrees() {
     let mut rng = Rng::new(0xD1F4);
     for case in 0..64 {
         let w = testgen::wff(&mut rng, N_ATOMS, 2);
-        run_both(&format!("inset #{case}"), || {
-            (inset(&w, N_ATOMS), inset(&w, N_ATOMS))
-        });
+        let memoized = (inset(&w, N_ATOMS), inset(&w, N_ATOMS));
+        cache::clear_all();
+        let cold = inset(&w, N_ATOMS);
+        run_both(&format!("inset #{case}"), (cold.clone(), cold), memoized);
     }
 }
 
-/// The emulation squares of Theorems 2.3.4, 2.3.6, and 2.3.9 hold under
-/// both engines: every BLU-C operator commutes with `e_CI` into BLU-I no
-/// matter which engine computes the clausal side.
+/// The emulation squares of Theorems 2.3.4, 2.3.6, and 2.3.9 hold: every
+/// BLU-C operator of the reduced algebra commutes with `e_CI` into BLU-I.
 #[test]
 fn emulation_theorems_hold_under_both_engines() {
     let mut rng = Rng::new(0xD1F5);
@@ -162,14 +205,8 @@ fn emulation_theorems_hold_under_both_engines() {
         let y = testgen::clause_set(&mut rng, N_ATOMS, 3, 3);
         let extra: BTreeSet<_> = testgen::mask(&mut rng, N_ATOMS, 2);
         let alg = BluClausal::new().with_reduction(true);
-        for mode in [EngineMode::Naive, EngineMode::Indexed] {
-            let report = with_engine(mode, || check_states(&alg, N_ATOMS, &x, &y, &extra));
-            assert!(
-                report.all_ok(),
-                "case {case} under {mode:?}: {:?}",
-                report.failures
-            );
-        }
+        let report = check_states(&alg, N_ATOMS, &x, &y, &extra);
+        assert!(report.all_ok(), "case {case}: {:?}", report.failures);
     }
 }
 
@@ -178,16 +215,8 @@ fn emulation_theorems_hold_under_both_engines() {
 #[test]
 fn degenerate_inputs_agree() {
     let empty = ClauseSet::new();
-    let contradiction: ClauseSet = [pwdb::logic::Clause::empty()].into_iter().collect();
+    let contradiction: ClauseSet = [Clause::empty()].into_iter().collect();
     for (name, set) in [("empty", &empty), ("contradiction", &contradiction)] {
-        run_both(&format!("saturate {name}"), || saturate(set));
-        run_both(&format!("prime_implicates {name}"), || {
-            prime_implicates(set)
-        });
-        run_both(&format!("reduce {name}"), || {
-            let mut s = set.clone();
-            let dropped = s.reduce_subsumed();
-            (s, dropped)
-        });
+        engine_agrees(name, set, set);
     }
 }
