@@ -238,9 +238,9 @@ impl<B: HluBackend> Database<B> {
     }
 
     /// Every program applied so far, in order — the database's statement
-    /// history. Rejected updates ([`Database::run_rejecting`]) and rolled-
-    /// back transactions are excised, so the history always *derives* the
-    /// current state from the initial one (replaying it on a fresh
+    /// history. Failed [`Database::run_governed`] statements and
+    /// rolled-back savepoints are excised, so the history always *derives*
+    /// the current state from the initial one (replaying it on a fresh
     /// database reproduces `state()` exactly). [`Database::set_state`]
     /// breaks that derivation and clears the history.
     pub fn history(&self) -> &[HluProgram] {
@@ -254,12 +254,16 @@ impl<B: HluBackend> Database<B> {
         self.updates_run = updates_run;
     }
 
-    /// Runs one HLU program against the current state.
+    /// Runs one HLU program against the current state: the paper's bare
+    /// state transition, with no budget and no consistency check (an
+    /// update may leave no possible world). [`Database::run_governed`] is
+    /// the transactional form.
     pub fn run(&mut self, prog: &HluProgram) {
         counter!("hlu.stmt.total").inc();
-        stmt_counter(prog).inc();
+        let (stmt_counter, stmt_span) = stmt_kind(prog);
+        stmt_counter.inc();
         let _t = timer!("hlu.update.wall").start();
-        let _sp = pwdb_trace::span(stmt_span_name(prog));
+        let _sp = pwdb_trace::span(stmt_span);
         let compiled = compile(prog);
         let mut args: Vec<Value<B::State, B::Mask>> = Vec::with_capacity(compiled.args.len() + 1);
         args.push(Value::State(self.state.clone()));
@@ -322,22 +326,9 @@ impl<B: HluBackend> Database<B> {
         counter!("hlu.query.possible.calls").inc();
         let _t = timer!("hlu.query.possible.wall").start();
         let _sp = pwdb_trace::span!("hlu.query.possible");
+        // `¬w` not certain means some world satisfies `w`, so the state is
+        // consistent too: no separate satisfiability check is needed.
         !self.backend.certain(&self.state, &wff.clone().not())
-            && self.backend.consistent(&self.state)
-    }
-
-    /// `EXPLAIN`: runs the program while recording its full execution
-    /// trace — the HLU→BLU translation tree, every BLU primitive invoked
-    /// (with clause counts and the theorem's dominant cost term), and the
-    /// logic-layer work underneath. The update **is applied**, exactly as
-    /// [`Database::run`] would; only the observation differs.
-    ///
-    /// In a `--no-default-features` build the program still runs but the
-    /// returned trace is empty.
-    pub fn explain(&mut self, prog: &HluProgram) -> Explanation {
-        let compiled = compile(prog);
-        let ((), trace) = pwdb_trace::capture(|| self.run(prog));
-        explanation_of(prog, &compiled, trace)
     }
 
     /// Whether any possible world remains.
@@ -350,25 +341,6 @@ impl<B: HluBackend> Database<B> {
     /// the clausal backend; a popcount on the instance backend.
     pub fn world_count(&self, n_atoms: usize) -> u64 {
         self.backend.world_count(&self.state, n_atoms)
-    }
-
-    /// Runs a program with the *rejection* handling of §1.3.3: "the
-    /// updated database is computed, and then checked for compliance with
-    /// the integrity constraints. If those constraints are not satisfied,
-    /// the update is rejected." In the incomplete-information reading, an
-    /// update whose result has **no** possible world left is rejected and
-    /// the state restored.
-    pub fn run_rejecting(&mut self, prog: &HluProgram) -> Result<(), UpdateRejected> {
-        let saved = self.state.clone();
-        self.run(prog);
-        if self.backend.consistent(&self.state) {
-            Ok(())
-        } else {
-            self.state = saved;
-            self.updates_run -= 1;
-            self.history.pop();
-            Err(UpdateRejected)
-        }
     }
 
     /// A savepoint capturing the current state (states are values; this
@@ -389,18 +361,6 @@ impl<B: HluBackend> Database<B> {
         self.history.truncate(savepoint.history_len);
     }
 
-    /// Runs a closure transactionally: if it returns `false` (or the
-    /// resulting state is inconsistent), every update it performed is
-    /// rolled back. Returns whether the transaction committed.
-    pub fn transaction(&mut self, body: impl FnOnce(&mut Self) -> bool) -> bool {
-        let saved = self.savepoint();
-        let keep = body(self) && self.backend.consistent(&self.state);
-        if !keep {
-            self.rollback_to(saved);
-        }
-        keep
-    }
-
     /// Checked [`Database::world_count`]: `u128`, and a typed
     /// [`LogicError::TooManyAtoms`] past the 64-atom packed-assignment
     /// limit instead of a panic.
@@ -408,7 +368,13 @@ impl<B: HluBackend> Database<B> {
         self.backend.try_world_count(&self.state, n_atoms)
     }
 
-    /// Runs one statement under resource `limits`, transactionally.
+    /// Runs one statement under resource `limits`, transactionally — the
+    /// single commit-or-roll-back wrapper around [`Database::run`], and the
+    /// §1.3.3 rejection discipline: "the updated database is computed, and
+    /// then checked for compliance with the integrity constraints. If
+    /// those constraints are not satisfied, the update is rejected." In
+    /// the incomplete-information reading, a result with **no** possible
+    /// world is rejected. [`Limits::unlimited`] is the un-budgeted case.
     ///
     /// The statement executes with the execution governor installed: every
     /// unbounded worklist in the clausal engine (saturation, Tison's
@@ -462,27 +428,6 @@ impl<B: HluBackend> Database<B> {
             }
         }
     }
-
-    /// `EXPLAIN` under limits: runs the statement exactly as
-    /// [`Database::run_governed`] (including rollback on failure) while
-    /// recording the execution trace. Returns the explanation — whose
-    /// `outcome` names what happened — together with the governed result,
-    /// so a budget-exceeded EXPLAIN still shows how far execution got.
-    pub fn explain_governed(
-        &mut self,
-        prog: &HluProgram,
-        limits: &Limits,
-    ) -> (Explanation, Result<(), GovernedError>) {
-        let compiled = compile(prog);
-        let (result, trace) = pwdb_trace::capture(|| self.run_governed(prog, limits));
-        let outcome = match &result {
-            Ok(()) => "committed".to_owned(),
-            Err(e) => e.to_string(),
-        };
-        let mut exp = explanation_of(prog, &compiled, trace);
-        exp.outcome = Some(outcome);
-        (exp, result)
-    }
 }
 
 /// The static span-attribute label for a governed failure.
@@ -494,44 +439,62 @@ fn governed_outcome(e: &ExecError) -> &'static str {
     }
 }
 
-/// The per-variant statement counter for [`Database::run`].
-fn stmt_counter(prog: &HluProgram) -> &'static pwdb_metrics::Counter {
+/// The `hlu.stmt.*` counter and span name of a statement's kind (one
+/// name per kind, shared by both families).
+fn stmt_kind(prog: &HluProgram) -> (&'static pwdb_metrics::Counter, &'static str) {
+    macro_rules! kind {
+        ($name:literal) => {
+            (counter!($name), $name)
+        };
+    }
     match prog {
-        HluProgram::Identity => counter!("hlu.stmt.identity"),
-        HluProgram::Assert(_) => counter!("hlu.stmt.assert"),
-        HluProgram::Clear(_) => counter!("hlu.stmt.clear"),
-        HluProgram::Insert(_) => counter!("hlu.stmt.insert"),
-        HluProgram::Delete(_) => counter!("hlu.stmt.delete"),
-        HluProgram::Modify(_, _) => counter!("hlu.stmt.modify"),
-        HluProgram::Where(_, _, _) => counter!("hlu.stmt.where"),
+        HluProgram::Identity => kind!("hlu.stmt.identity"),
+        HluProgram::Assert(_) => kind!("hlu.stmt.assert"),
+        HluProgram::Clear(_) => kind!("hlu.stmt.clear"),
+        HluProgram::Insert(_) => kind!("hlu.stmt.insert"),
+        HluProgram::Delete(_) => kind!("hlu.stmt.delete"),
+        HluProgram::Modify(_, _) => kind!("hlu.stmt.modify"),
+        HluProgram::Where(_, _, _) => kind!("hlu.stmt.where"),
     }
 }
 
-/// The `hlu.stmt.*` span family (one name per statement kind, matching
-/// the counter family above).
-fn stmt_span_name(prog: &HluProgram) -> &'static str {
-    match prog {
-        HluProgram::Identity => "hlu.stmt.identity",
-        HluProgram::Assert(_) => "hlu.stmt.assert",
-        HluProgram::Clear(_) => "hlu.stmt.clear",
-        HluProgram::Insert(_) => "hlu.stmt.insert",
-        HluProgram::Delete(_) => "hlu.stmt.delete",
-        HluProgram::Modify(_, _) => "hlu.stmt.modify",
-        HluProgram::Where(_, _, _) => "hlu.stmt.where",
-    }
+/// The result of `EXPLAIN` ([`Explanation::capture`]): the statement, its
+/// BLU compilation, the parameter bindings, the recorded execution trace,
+/// and what happened.
+#[derive(Debug, Clone)]
+pub struct Explanation {
+    /// The HLU statement as written.
+    pub statement: String,
+    /// The compiled BLU lambda (Definitions 3.1.2, 3.2.3/3.2.4).
+    pub compiled: String,
+    /// Rendered parameter bindings `s1 = …`, in order.
+    pub args: Vec<String>,
+    /// The recorded span tree (empty in a no-op build).
+    pub trace: pwdb_trace::Trace,
+    /// `"committed"`, or the rendering of the error the statement failed
+    /// with (budget exceeded, cancelled, rejected, engine panic, I/O).
+    pub outcome: String,
 }
 
-/// Builds the rendered [`Explanation`] skeleton shared by
-/// [`Database::explain`] and [`Database::explain_governed`].
-fn explanation_of(
-    prog: &HluProgram,
-    compiled: &crate::compile::Compiled,
-    trace: pwdb_trace::Trace,
-) -> Explanation {
-    Explanation {
-        statement: prog.to_string(),
-        compiled: compiled.program.to_string(),
-        args: compiled
+impl Explanation {
+    /// `EXPLAIN`: runs `exec` — whichever execution path the caller chose
+    /// for `prog` (bare, governed, durable) — while recording its full
+    /// execution trace: the HLU→BLU translation tree, every BLU primitive
+    /// invoked (with clause counts and the theorem's dominant cost term),
+    /// and the logic-layer work underneath. The statement takes effect
+    /// exactly as `exec` alone would; only the observation differs, so a
+    /// failed statement still shows how far execution got. Ambient
+    /// tracing is left untouched.
+    ///
+    /// In a `--no-default-features` build the statement still runs but the
+    /// recorded trace is empty.
+    pub fn capture<E: std::fmt::Display>(
+        prog: &HluProgram,
+        exec: impl FnOnce() -> Result<(), E>,
+    ) -> (Explanation, Result<(), E>) {
+        let compiled = compile(prog);
+        let (result, trace) = pwdb_trace::capture(exec);
+        let args = compiled
             .args
             .iter()
             .enumerate()
@@ -546,31 +509,21 @@ fn explanation_of(
                 };
                 format!("s{} = {value}", i + 1)
             })
-            .collect(),
-        trace,
-        outcome: None,
+            .collect();
+        let outcome = match &result {
+            Ok(()) => "committed".to_owned(),
+            Err(e) => e.to_string(),
+        };
+        let explanation = Explanation {
+            statement: prog.to_string(),
+            compiled: compiled.program.to_string(),
+            args,
+            trace,
+            outcome,
+        };
+        (explanation, result)
     }
-}
 
-/// The result of [`Database::explain`]: the statement, its BLU
-/// compilation, the parameter bindings, and the recorded execution trace.
-#[derive(Debug, Clone)]
-pub struct Explanation {
-    /// The HLU statement as written.
-    pub statement: String,
-    /// The compiled BLU lambda (Definitions 3.1.2, 3.2.3/3.2.4).
-    pub compiled: String,
-    /// Rendered parameter bindings `s1 = …`, in order.
-    pub args: Vec<String>,
-    /// The recorded span tree (empty in a no-op build).
-    pub trace: pwdb_trace::Trace,
-    /// Governed runs record what happened — `"committed"` or the error
-    /// rendering (budget exceeded, cancelled, rejected, engine panic).
-    /// `None` for ungoverned [`Database::explain`].
-    pub outcome: Option<String>,
-}
-
-impl Explanation {
     /// Renders the full explanation as the HLU shell prints it.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -579,9 +532,7 @@ impl Explanation {
         for a in &self.args {
             out.push_str(&format!("  with {a}\n"));
         }
-        if let Some(outcome) = &self.outcome {
-            out.push_str(&format!("outcome:   {outcome}\n"));
-        }
+        out.push_str(&format!("outcome:   {}\n", self.outcome));
         out.push_str("trace:\n");
         out.push_str(&self.trace.render_tree());
         out
@@ -609,7 +560,10 @@ impl std::fmt::Display for GovernedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             GovernedError::Exec(e) => e.fmt(f),
-            GovernedError::Rejected => UpdateRejected.fmt(f),
+            GovernedError::Rejected => write!(
+                f,
+                "update rejected: no possible world satisfies the constraints"
+            ),
         }
     }
 }
@@ -621,21 +575,6 @@ impl From<ExecError> for GovernedError {
         GovernedError::Exec(e)
     }
 }
-
-/// Marker for an update rejected by the §1.3.3 consistency check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UpdateRejected;
-
-impl std::fmt::Display for UpdateRejected {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "update rejected: no possible world satisfies the constraints"
-        )
-    }
-}
-
-impl std::error::Error for UpdateRejected {}
 
 /// A captured database state for [`Database::rollback_to`].
 #[derive(Debug, Clone)]
@@ -838,13 +777,14 @@ mod tests {
         let n = db.updates_run();
         // assert ¬A2 contradicts A1→A2 ∧ A1: every world dies → rejected.
         let err = db
-            .run_rejecting(&HluProgram::Assert(wff(2, "!A2")))
+            .run_governed(&HluProgram::Assert(wff(2, "!A2")), &Limits::unlimited())
             .unwrap_err();
-        assert_eq!(err, UpdateRejected);
+        assert_eq!(err, GovernedError::Rejected);
         assert_eq!(db.state(), &before);
         assert_eq!(db.updates_run(), n);
         // A compatible update goes through.
-        db.run_rejecting(&HluProgram::Assert(wff(2, "A2"))).unwrap();
+        db.run_governed(&HluProgram::Assert(wff(2, "A2")), &Limits::unlimited())
+            .unwrap();
     }
 
     #[test]
@@ -859,32 +799,51 @@ mod tests {
         assert_eq!(db.updates_run(), 1);
     }
 
+    /// Runs `progs` as one bundle: every statement governed, and the whole
+    /// bundle rolled back to its savepoint if any of them fails.
+    fn run_bundle<B: HluBackend>(db: &mut Database<B>, progs: &[HluProgram]) -> bool {
+        let saved = db.savepoint();
+        let committed = progs
+            .iter()
+            .try_for_each(|p| db.run_governed(p, &Limits::unlimited()))
+            .is_ok();
+        if !committed {
+            db.rollback_to(saved);
+        }
+        committed
+    }
+
     #[test]
     fn transaction_commits_and_aborts() {
         let mut db = ClausalDatabase::new();
-        let committed = db.transaction(|tx| {
-            tx.insert(wff(2, "A1"));
-            tx.insert(wff(2, "A2"));
-            true
-        });
+        let committed = run_bundle(
+            &mut db,
+            &[
+                HluProgram::Insert(wff(2, "A1")),
+                HluProgram::Insert(wff(2, "A2")),
+            ],
+        );
         assert!(committed);
         assert!(db.is_certain(&wff(2, "A1 & A2")));
 
-        let aborted = db.transaction(|tx| {
-            tx.delete(wff(2, "A1"));
-            false // caller decides to abort
-        });
-        assert!(!aborted);
+        // The caller decides to abort.
+        let saved = db.savepoint();
+        db.delete(wff(2, "A1"));
+        db.rollback_to(saved);
         assert!(db.is_certain(&wff(2, "A1")));
 
-        // A transaction ending inconsistent rolls back automatically.
-        let auto_abort = db.transaction(|tx| {
-            tx.assert_wff(wff(2, "!A1"));
-            true
-        });
+        // A bundle ending inconsistent rolls back automatically.
+        let auto_abort = run_bundle(
+            &mut db,
+            &[
+                HluProgram::Insert(wff(2, "A2")),
+                HluProgram::Assert(wff(2, "!A1")),
+            ],
+        );
         assert!(!auto_abort);
         assert!(db.is_consistent());
         assert!(db.is_certain(&wff(2, "A1")));
+        assert_eq!(db.history().len(), 2);
     }
 
     #[test]
@@ -935,7 +894,7 @@ mod tests {
     fn history_excises_rejections_and_rollbacks() {
         let mut db = InstanceDatabase::with_atoms(2).with_constraints(wff(2, "A1 -> A2"));
         db.insert(wff(2, "A1"));
-        db.run_rejecting(&HluProgram::Assert(wff(2, "!A2")))
+        db.run_governed(&HluProgram::Assert(wff(2, "!A2")), &Limits::unlimited())
             .unwrap_err();
         assert_eq!(db.history().len(), 1);
 
@@ -945,10 +904,9 @@ mod tests {
         db.rollback_to(sp);
         assert_eq!(db.history().len(), 1);
 
-        db.transaction(|tx| {
-            tx.delete(wff(2, "A2"));
-            false
-        });
+        let sp = db.savepoint();
+        db.delete(wff(2, "A2"));
+        db.rollback_to(sp);
         assert_eq!(db.history().len(), 1);
         assert_eq!(db.history()[0], HluProgram::Insert(wff(2, "A1")));
     }
@@ -1033,17 +991,18 @@ mod tests {
     fn explain_governed_records_outcome_both_ways() {
         let mut db = ClausalDatabase::new();
         let ok_limits = Limits::budget(pwdb_logic::Budget::steps(1_000_000));
-        let (exp, result) = db.explain_governed(&HluProgram::Insert(wff(2, "A1")), &ok_limits);
+        let prog = HluProgram::Insert(wff(2, "A1"));
+        let (exp, result) = Explanation::capture(&prog, || db.run_governed(&prog, &ok_limits));
         assert!(result.is_ok());
-        assert_eq!(exp.outcome.as_deref(), Some("committed"));
+        assert_eq!(exp.outcome, "committed");
 
         let tight = Limits::budget(pwdb_logic::Budget::steps(1));
         let before = db.state().clone();
-        let (exp, result) = db.explain_governed(&HluProgram::Insert(wff(2, "A2")), &tight);
+        let prog = HluProgram::Insert(wff(2, "A2"));
+        let (exp, result) = Explanation::capture(&prog, || db.run_governed(&prog, &tight));
         assert!(result.is_err());
         assert!(exp.render().contains("outcome:"), "render shows outcome");
-        let outcome = exp.outcome.unwrap();
-        assert!(outcome.contains("budget exceeded"), "{outcome}");
+        assert!(exp.outcome.contains("budget exceeded"), "{}", exp.outcome);
         assert_eq!(db.state(), &before);
     }
 

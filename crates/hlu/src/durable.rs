@@ -5,10 +5,11 @@
 //! before the call returns:
 //!
 //! ```text
-//! run(P):   intern-events → WAL   (new atom names, in id order)
+//! run(P):   apply P in memory     (a governed failure stops here)
+//!           intern-events → WAL   (new atom names, in id order)
 //!           text(P)       → WAL   (canonical HLU syntax)
-//!           fsync                 ← the commit point
-//!           apply P in memory
+//!           fsync                 ← the commit point; on failure the
+//!                                   in-memory application rolls back
 //! ```
 //!
 //! Because HLU statements are morphisms on clausal instances (§1.4), the
@@ -36,7 +37,7 @@ use pwdb_metrics::counter;
 use pwdb_store::{Record, RetryPolicy, SnapshotData, Store, StoreError, StoreStats, WriteFaults};
 
 use crate::ast::HluProgram;
-use crate::database::{ClausalDatabase, Explanation, GovernedError, UpdateRejected};
+use crate::database::{ClausalDatabase, Explanation, GovernedError};
 use crate::parser::{parse_hlu, parse_hlu_statement, HluStatement};
 
 /// Failures of the durable layer.
@@ -45,7 +46,7 @@ pub enum DurableError {
     /// The underlying filesystem failed.
     Io(io::Error),
     /// A statement failed to parse (user input via
-    /// [`DurableDatabase::run_statement`]).
+    /// [`DurableDatabase::run_statement_governed`]).
     Parse(LogicError),
     /// The stored data is not self-consistent (a logged statement no
     /// longer parses, an atom name collides, …).
@@ -68,7 +69,7 @@ impl fmt::Display for DurableError {
             DurableError::Io(e) => write!(f, "storage I/O error: {e}"),
             DurableError::Parse(e) => write!(f, "{e}"),
             DurableError::Corrupt(m) => write!(f, "store corrupt: {m}"),
-            DurableError::Rejected => UpdateRejected.fmt(f),
+            DurableError::Rejected => GovernedError::Rejected.fmt(f),
             DurableError::Exec(e) => e.fmt(f),
             DurableError::ReadOnly { reason } => {
                 write!(f, "store is read-only (degraded): {reason}")
@@ -127,8 +128,8 @@ pub struct RecoveryReport {
 ///
 /// Read access goes through `Deref<Target = ClausalDatabase>` (queries,
 /// `state()`, `history()`, `cache_stats()`); updates must go through the
-/// durable methods here, which hit the WAL before touching memory. There
-/// is deliberately no `DerefMut` — a mutable escape hatch would let
+/// durable methods here, which keep memory from running ahead of the WAL.
+/// There is deliberately no `DerefMut` — a mutable escape hatch would let
 /// statements bypass the log.
 #[derive(Debug)]
 pub struct DurableDatabase {
@@ -276,81 +277,28 @@ impl DurableDatabase {
         self.store.dir()
     }
 
-    /// Logs `prog` (WAL append + fsync), then applies it. On return the
-    /// statement is durable: recovery after any crash replays it.
+    /// Runs `prog` — the bare [`ClausalDatabase::run`] transition — durably:
+    /// on return the statement is logged (WAL append + fsync) and recovery
+    /// after any crash replays it.
     pub fn run(&mut self, prog: &HluProgram) -> Result<(), DurableError> {
-        self.log_statement(prog)?;
-        self.db.run(prog);
-        Ok(())
-    }
-
-    /// The §1.3.3 rejection discipline, durably: the update is evaluated
-    /// in memory first and only logged once it is known to commit, so a
-    /// rejected statement never reaches the WAL. If logging itself fails,
-    /// the in-memory application is rolled back and the error surfaces —
-    /// memory never runs ahead of the log.
-    pub fn run_rejecting(&mut self, prog: &HluProgram) -> Result<(), DurableError> {
-        let saved = self.db.savepoint();
-        if self.db.run_rejecting(prog).is_err() {
-            return Err(DurableError::Rejected);
-        }
-        if let Err(e) = self.log_statement(prog) {
-            self.db.rollback_to(saved);
-            return Err(e);
-        }
-        Ok(())
+        self.apply_and_log(prog, |db| {
+            db.run(prog);
+            Ok(())
+        })
     }
 
     /// Runs one statement under resource `limits`, durably and
-    /// transactionally. Evaluation order is memory-first: the statement
-    /// executes through [`crate::database::Database::run_governed`] — so on
-    /// budget exhaustion, cancellation, engine panic, or the §1.3.3
+    /// transactionally, through [`crate::database::Database::run_governed`]:
+    /// on budget exhaustion, cancellation, engine panic, or the §1.3.3
     /// rejection the in-memory state rolls back bit-identically and the
-    /// WAL **never sees the failed statement**. Only a committed in-memory
-    /// result is logged; if logging itself fails (I/O fault, degraded
-    /// store), memory is rolled back too, so it never runs ahead of the
-    /// log.
+    /// WAL **never sees the failed statement**.
     pub fn run_governed(&mut self, prog: &HluProgram, limits: &Limits) -> Result<(), DurableError> {
-        let saved = self.db.savepoint();
-        self.db.run_governed(prog, limits)?;
-        if let Err(e) = self.log_statement(prog) {
-            self.db.rollback_to(saved);
-            return Err(e);
-        }
-        Ok(())
+        self.apply_and_log(prog, |db| db.run_governed(prog, limits))
     }
 
-    /// `EXPLAIN` under limits, durably: runs exactly as
-    /// [`DurableDatabase::run_governed`] (memory-first, log on commit,
-    /// rollback on any failure) while recording the trace. The returned
-    /// explanation's `outcome` names what happened even when the governed
-    /// result is an error.
-    pub fn explain_governed(
-        &mut self,
-        prog: &HluProgram,
-        limits: &Limits,
-    ) -> (Explanation, Result<(), DurableError>) {
-        let saved = self.db.savepoint();
-        let (mut exp, result) = self.db.explain_governed(prog, limits);
-        let result = match result {
-            Ok(()) => {
-                if let Err(e) = self.log_statement(prog) {
-                    self.db.rollback_to(saved);
-                    exp.outcome = Some(e.to_string());
-                    Err(e)
-                } else {
-                    Ok(())
-                }
-            }
-            Err(e) => Err(DurableError::from(e)),
-        };
-        (exp, result)
-    }
-
-    /// Parses and runs one shell-level statement under `limits`, like
-    /// [`DurableDatabase::run_statement`] but governed. `EXPLAIN` wrappers
-    /// return the trace (with a recorded outcome) alongside the governed
-    /// result.
+    /// Parses and runs one shell-level statement under `limits`. `EXPLAIN`
+    /// wrappers return the trace (with a recorded outcome) alongside the
+    /// governed result.
     pub fn run_statement_governed(
         &mut self,
         text: &str,
@@ -359,30 +307,12 @@ impl DurableDatabase {
         match parse_hlu_statement(text, &mut self.atoms) {
             Ok(HluStatement::Run(prog)) => (None, self.run_governed(&prog, limits)),
             Ok(HluStatement::Explain(prog)) => {
-                let (exp, result) = self.explain_governed(&prog, limits);
+                let (exp, result) =
+                    Explanation::capture(&prog, || self.run_governed(&prog, limits));
                 (Some(exp), result)
             }
             Err(e) => (None, Err(DurableError::from(e))),
         }
-    }
-
-    /// Parses and executes one shell-level statement. `EXPLAIN` wrappers
-    /// return the trace; the update is logged and applied either way.
-    pub fn run_statement(&mut self, text: &str) -> Result<Option<Explanation>, DurableError> {
-        match parse_hlu_statement(text, &mut self.atoms)? {
-            HluStatement::Run(prog) => {
-                self.run(&prog)?;
-                Ok(None)
-            }
-            HluStatement::Explain(prog) => self.explain(&prog).map(Some),
-        }
-    }
-
-    /// `EXPLAIN`, durably: the statement is logged (it *is* applied, like
-    /// [`DurableDatabase::run`]) and the execution trace returned.
-    pub fn explain(&mut self, prog: &HluProgram) -> Result<Explanation, DurableError> {
-        self.log_statement(prog)?;
-        Ok(self.db.explain(prog))
     }
 
     /// Writes a snapshot of the current state, atomically and durably.
@@ -437,11 +367,29 @@ impl DurableDatabase {
         Ok(())
     }
 
-    /// WAL append + fsync for one statement (the write path's first two
-    /// steps). The caller applies the program afterwards. On failure the
-    /// store has discarded everything buffered, so the atom watermark is
-    /// rolled back with it: nothing of the failed statement — neither its
-    /// `A` records nor its `S` record — is in the log.
+    /// The write path shared by every update: evaluate in memory first
+    /// (`apply` either commits or has already rolled itself back), then
+    /// log the statement. If logging fails, the in-memory application is
+    /// rolled back too, so memory never runs ahead of the log and a
+    /// statement is logged only after it has been evaluated.
+    fn apply_and_log(
+        &mut self,
+        prog: &HluProgram,
+        apply: impl FnOnce(&mut ClausalDatabase) -> Result<(), GovernedError>,
+    ) -> Result<(), DurableError> {
+        let saved = self.db.savepoint();
+        apply(&mut self.db)?;
+        if let Err(e) = self.log_statement(prog) {
+            self.db.rollback_to(saved);
+            return Err(e);
+        }
+        Ok(())
+    }
+
+    /// WAL append + fsync for one statement already applied in memory. On
+    /// failure the store has discarded everything buffered, so the atom
+    /// watermark is rolled back with it: nothing of the failed statement —
+    /// neither its `A` records nor its `S` record — is in the log.
     fn log_statement(&mut self, prog: &HluProgram) -> Result<(), DurableError> {
         let _sp = pwdb_trace::span!("store.durable.commit");
         let atoms_watermark = self.persisted_atoms;
@@ -537,7 +485,8 @@ mod tests {
     use pwdb_store::TestDir;
 
     fn run_text(db: &mut DurableDatabase, text: &str) {
-        db.run_statement(text).unwrap();
+        let prog = parse_hlu(text, db.atoms_mut()).unwrap();
+        db.run(&prog).unwrap();
     }
 
     #[test]
@@ -614,12 +563,13 @@ mod tests {
             .unwrap();
             db.atoms_mut().intern("A1");
             let not_a1 = pwdb_logic::Wff::atom(0).not();
+            let unlimited = Limits::unlimited();
             assert!(matches!(
-                db.run_rejecting(&HluProgram::Assert(not_a1)),
+                db.run_governed(&HluProgram::Assert(not_a1), &unlimited),
                 Err(DurableError::Rejected)
             ));
             assert_eq!(db.store_stats().wal_records, 0);
-            db.run_rejecting(&HluProgram::Insert(pwdb_logic::Wff::atom(1)))
+            db.run_governed(&HluProgram::Insert(pwdb_logic::Wff::atom(1)), &unlimited)
                 .unwrap();
         }
         let db = DurableDatabase::open_with(
@@ -647,7 +597,9 @@ mod tests {
         let dir = TestDir::new("durable-explain");
         {
             let mut db = ClausalDatabase::open(dir.path()).unwrap();
-            let explanation = db.run_statement("EXPLAIN (insert {A1})").unwrap();
+            let (explanation, result) =
+                db.run_statement_governed("EXPLAIN (insert {A1})", &Limits::unlimited());
+            result.unwrap();
             assert!(explanation.is_some());
         }
         let db = ClausalDatabase::open(dir.path()).unwrap();

@@ -12,6 +12,7 @@
 //! as evidence accumulates.
 
 use pwdb::hlu::{HluProgram, InstanceDatabase};
+use pwdb::logic::Limits;
 use pwdb::prelude::*;
 
 fn main() {
@@ -36,14 +37,21 @@ fn main() {
     println!("after insert(ordered):      {} worlds", db.world_count(n));
 
     // Evidence 2, transactional: a shipment notice arrives, but the
-    // operator bundles it with a bogus "not paid" assertion — the
-    // transaction would make shipping unpaid, violating the rules, so the
-    // whole bundle rolls back.
-    let committed = db.transaction(|tx| {
-        tx.insert(wff("shipped", &mut atoms));
-        tx.assert_wff(wff("!paid", &mut atoms));
-        true
-    });
+    // operator bundles it with a bogus "not paid" assertion — the bundle
+    // would make shipping unpaid, violating the rules, so the assertion is
+    // rejected and the whole bundle rolls back to its savepoint.
+    let bundle = [
+        HluProgram::Insert(wff("shipped", &mut atoms)),
+        HluProgram::Assert(wff("!paid", &mut atoms)),
+    ];
+    let savepoint = db.savepoint();
+    let committed = bundle
+        .iter()
+        .try_for_each(|p| db.run_governed(p, &Limits::unlimited()))
+        .is_ok();
+    if !committed {
+        db.rollback_to(savepoint);
+    }
     println!(
         "bundled (shipped, !paid):   committed = {committed}, {} worlds (rolled back)",
         db.world_count(n)
@@ -52,13 +60,19 @@ fn main() {
 
     // The shipment alone is fine — and the rules *propagate*: shipped
     // forces paid forces ordered.
-    db.run_rejecting(&HluProgram::Insert(wff("shipped", &mut atoms)))
-        .expect("consistent update");
+    db.run_governed(
+        &HluProgram::Insert(wff("shipped", &mut atoms)),
+        &Limits::unlimited(),
+    )
+    .expect("consistent update");
     println!("after insert(shipped):      {} worlds", db.world_count(n));
     assert!(db.is_certain(&wff("paid & ordered", &mut atoms)));
 
     // A direct contradiction is rejected outright.
-    let err = db.run_rejecting(&HluProgram::Assert(wff("!ordered", &mut atoms)));
+    let err = db.run_governed(
+        &HluProgram::Assert(wff("!ordered", &mut atoms)),
+        &Limits::unlimited(),
+    );
     println!("assert(!ordered):           rejected = {}", err.is_err());
     assert!(err.is_err());
 

@@ -14,7 +14,7 @@
 //! ?certain <wff>        is the wff true in every possible world?
 //! ?possible <wff>       in some world?
 //! ?count                number of possible worlds
-//! :explain <program>    same as EXPLAIN
+//! :explain <program>    same as EXPLAIN (and, like it, honours :budget)
 //! :trace on|off         print a span tree after every command
 //! :metrics              metric deltas since the previous :metrics
 //! :cache                per-cache hit/miss/entry statistics
@@ -24,7 +24,7 @@
 //! :history              print every statement applied so far, in order
 //! :open <dir>           switch to a durable database stored in <dir>
 //!                       (recovers WAL + snapshots; every statement is
-//!                       fsync'd before it applies)
+//!                       fsync'd before its reply)
 //! :checkpoint           write a snapshot of the durable database
 //! :wal                   log / snapshot statistics of the open store
 //! :budget <steps> [live <clauses>] [wall <ms>]
@@ -114,7 +114,7 @@ enum Reply {
 }
 
 /// The database the shell is talking to: a plain in-memory one, or a
-/// durable one whose every statement hits the WAL before applying.
+/// durable one whose every committed statement is in the WAL.
 enum Backend {
     Memory {
         db: ClausalDatabase,
@@ -139,70 +139,29 @@ impl Backend {
         }
     }
 
-    /// Executes one statement line (`(...)` or `EXPLAIN (...)`). With
-    /// `limits` set (`:budget`), the statement runs governed: on budget
-    /// exhaustion, cancellation, or rejection it rolls back and the error
-    /// is reported alongside any explanation.
-    fn run_statement(
-        &mut self,
-        line: &str,
-        limits: Option<&Limits>,
-    ) -> (Option<Explanation>, Result<(), String>) {
+    /// The session vocabulary, for parsing.
+    fn atoms_mut(&mut self) -> &mut AtomTable {
         match self {
-            Backend::Memory { db, atoms } => {
-                let stmt = match parse_hlu_statement(line, atoms) {
-                    Ok(stmt) => stmt,
-                    Err(e) => return (None, Err(e.to_string())),
-                };
-                match (stmt, limits) {
-                    (HluStatement::Run(prog), None) => {
-                        db.run(&prog);
-                        (None, Ok(()))
-                    }
-                    (HluStatement::Run(prog), Some(l)) => {
-                        (None, db.run_governed(&prog, l).map_err(|e| e.to_string()))
-                    }
-                    (HluStatement::Explain(prog), None) => (Some(db.explain(&prog)), Ok(())),
-                    (HluStatement::Explain(prog), Some(l)) => {
-                        let (exp, result) = db.explain_governed(&prog, l);
-                        (Some(exp), result.map_err(|e| e.to_string()))
-                    }
-                }
-            }
-            Backend::Durable(d) => match limits {
-                None => match d.run_statement(line) {
-                    Ok(exp) => (exp, Ok(())),
-                    Err(e) => (None, Err(e.to_string())),
-                },
-                Some(l) => {
-                    let (exp, result) = d.run_statement_governed(line, l);
-                    (exp, result.map_err(|e| e.to_string()))
-                }
-            },
-        }
-    }
-
-    /// `:explain` — always explains (no `EXPLAIN` keyword required).
-    fn explain(&mut self, text: &str) -> Result<Explanation, String> {
-        match self {
-            Backend::Memory { db, atoms } => {
-                let prog = parse_hlu(text, atoms).map_err(|e| e.to_string())?;
-                Ok(db.explain(&prog))
-            }
-            Backend::Durable(d) => {
-                let prog = parse_hlu(text, d.atoms_mut()).map_err(|e| e.to_string())?;
-                d.explain(&prog).map_err(|e| e.to_string())
-            }
-        }
-    }
-
-    /// Parses a wff against the session vocabulary.
-    fn parse_wff(&mut self, text: &str) -> Result<Wff, String> {
-        let atoms = match self {
             Backend::Memory { atoms, .. } => atoms,
             Backend::Durable(d) => d.atoms_mut(),
-        };
-        parse_wff(text, atoms).map_err(|e| e.to_string())
+        }
+    }
+
+    /// Applies one statement: the bare `run`, or the transactional
+    /// `run_governed` when `limits` are set (`:budget`), which rolls back
+    /// on budget exhaustion, cancellation, or rejection.
+    fn apply(&mut self, prog: &HluProgram, limits: Option<&Limits>) -> Result<(), String> {
+        match (self, limits) {
+            (Backend::Memory { db, .. }, None) => {
+                db.run(prog);
+                Ok(())
+            }
+            (Backend::Memory { db, .. }, Some(l)) => {
+                db.run_governed(prog, l).map_err(|e| e.to_string())
+            }
+            (Backend::Durable(d), None) => d.run(prog).map_err(|e| e.to_string()),
+            (Backend::Durable(d), Some(l)) => d.run_governed(prog, l).map_err(|e| e.to_string()),
+        }
     }
 }
 
@@ -432,11 +391,11 @@ fn execute(line: &str, backend: &mut Backend, shell: &mut Shell) -> Result<Reply
         return Ok(Reply::Text(out));
     }
     if let Some(q) = line.strip_prefix("?certain ") {
-        let w = backend.parse_wff(q)?;
+        let w = parse_wff(q, backend.atoms_mut()).map_err(|e| e.to_string())?;
         return Ok(Reply::Text(format!("{}", backend.db().is_certain(&w))));
     }
     if let Some(q) = line.strip_prefix("?possible ") {
-        let w = backend.parse_wff(q)?;
+        let w = parse_wff(q, backend.atoms_mut()).map_err(|e| e.to_string())?;
         return Ok(Reply::Text(format!("{}", backend.db().is_possible(&w))));
     }
     if line == "?count" {
@@ -446,25 +405,33 @@ fn execute(line: &str, backend: &mut Backend, shell: &mut Shell) -> Result<Reply
             "{count} possible world(s) over {n} atom(s)"
         )));
     }
-    if let Some(rest) = line.strip_prefix(":explain ") {
-        return Ok(Reply::Text(backend.explain(rest)?.render()));
-    }
     let is_explain = line.len() >= 7 && line.as_bytes()[..7].eq_ignore_ascii_case(b"explain");
-    if line.starts_with('(') || is_explain {
-        let limits = shell.limits.as_ref().map(|(l, _)| l);
-        return match backend.run_statement(line, limits) {
-            (Some(explanation), Ok(())) => Ok(Reply::Text(explanation.render())),
-            (Some(explanation), Err(e)) => {
-                Ok(Reply::Text(format!("{}\nerror: {e}", explanation.render())))
-            }
-            (None, Ok(())) => Ok(Reply::Text(format!(
+    let stmt = if let Some(rest) = line.strip_prefix(":explain ") {
+        parse_hlu(rest, backend.atoms_mut()).map(HluStatement::Explain)
+    } else if line.starts_with('(') || is_explain {
+        parse_hlu_statement(line, backend.atoms_mut())
+    } else {
+        return Err(format!("unrecognized command: {line}"));
+    };
+    let limits = shell.limits.as_ref().map(|(l, _)| l);
+    match stmt.map_err(|e| e.to_string())? {
+        HluStatement::Run(prog) => {
+            backend.apply(&prog, limits)?;
+            Ok(Reply::Text(format!(
                 "ok ({} update(s) run)",
                 backend.db().updates_run()
-            ))),
-            (None, Err(e)) => Err(e),
-        };
+            )))
+        }
+        HluStatement::Explain(prog) => {
+            let (explanation, result) =
+                Explanation::capture(&prog, || backend.apply(&prog, limits));
+            let mut text = explanation.render();
+            if let Err(e) = result {
+                text.push_str(&format!("\nerror: {e}"));
+            }
+            Ok(Reply::Text(text))
+        }
     }
-    Err(format!("unrecognized command: {line}"))
 }
 
 /// Renders a metrics delta: non-zero counters, then timers with call
@@ -492,4 +459,257 @@ fn render_metrics(delta: &MetricsSnapshot) -> String {
     }
     out.pop(); // trailing newline
     out
+}
+
+#[cfg(test)]
+mod tests {
+    //! Shell transcripts over every combination of backend (in memory or
+    //! durable), budget (none or `:budget`), and statement form (`( … )`,
+    //! `EXPLAIN ( … )`, `:explain ( … )`).
+
+    use super::*;
+    use pwdb::store::TestDir;
+
+    const SEED: &str = "(insert {rain | snow})";
+    /// Costs well over 25 steps, so it fails under `:budget 25`.
+    const HOSTILE: &str = "(modify {rain} {snow & !rain | fog & sleet | hail})";
+    /// Contradicts `SEED`: rejected when governed, applied when not.
+    const CONTRADICTION: &str = "(assert {!rain & !snow})";
+
+    #[derive(Clone, Copy, Debug)]
+    enum Form {
+        Plain,
+        Explain,
+        ColonExplain,
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Outcome {
+        Committed,
+        OverBudget,
+        Rejected,
+    }
+
+    impl Outcome {
+        fn matches(self, text: &str) -> bool {
+            match self {
+                Outcome::Committed => text == "committed",
+                Outcome::OverBudget => {
+                    text.starts_with("budget exceeded: ")
+                        && text.ends_with(" steps spent, limit 25")
+                }
+                Outcome::Rejected => {
+                    text == "update rejected: no possible world satisfies the constraints"
+                }
+            }
+        }
+    }
+
+    struct Session {
+        backend: Backend,
+        shell: Shell,
+    }
+
+    impl Session {
+        /// A fresh session: in memory, or `:open`ed on `dir`.
+        fn new(dir: Option<&TestDir>) -> Session {
+            let mut session = Session {
+                backend: Backend::Memory {
+                    db: ClausalDatabase::new(),
+                    atoms: AtomTable::new(),
+                },
+                shell: Shell::new(),
+            };
+            if let Some(dir) = dir {
+                session
+                    .reply(&format!(":open {}", dir.path().display()))
+                    .unwrap();
+            }
+            session
+        }
+
+        fn reply(&mut self, line: &str) -> Result<String, String> {
+            match execute(line, &mut self.backend, &mut self.shell)? {
+                Reply::Text(text) => Ok(text),
+                Reply::Quit => panic!("{line}: unexpected quit"),
+            }
+        }
+
+        /// Submits `prog` (whose source is `src`) in `form` and checks the
+        /// reply against `expect`. Returns the root spans of an EXPLAIN's
+        /// trace (none for a plain statement or a no-op tracer).
+        fn submit(
+            &mut self,
+            form: Form,
+            src: &str,
+            prog: &HluProgram,
+            expect: Outcome,
+        ) -> Vec<String> {
+            let line = match form {
+                Form::Plain => src.to_owned(),
+                Form::Explain => format!("EXPLAIN {src}"),
+                Form::ColonExplain => format!(":explain {src}"),
+            };
+            let reply = self.reply(&line);
+            if let Form::Plain = form {
+                match reply {
+                    Ok(text) => assert!(
+                        expect == Outcome::Committed && text.starts_with("ok ("),
+                        "{line}: expected {expect:?}, got {text}"
+                    ),
+                    Err(e) => assert!(expect.matches(&e), "{line}: expected {expect:?}, got {e}"),
+                }
+                return Vec::new();
+            }
+            let text = reply.unwrap_or_else(|e| panic!("{line}: {e}"));
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines[0], format!("statement: {prog}"), "{line}");
+            assert_eq!(
+                lines[1],
+                format!("compiled:  {}", compile(prog).program),
+                "{line}"
+            );
+            // A failure is reported twice: as the outcome and as the error.
+            let outcome = lines.iter().find_map(|l| l.strip_prefix("outcome:   "));
+            let error = lines.last().and_then(|l| l.strip_prefix("error: "));
+            let expected_error = outcome.filter(|_| expect != Outcome::Committed);
+            assert!(
+                outcome.is_some_and(|o| expect.matches(o)) && error == expected_error,
+                "{line}: expected {expect:?}, got\n{text}"
+            );
+            let trace = text.split_once("\ntrace:\n").expect("trace section").1;
+            trace
+                .lines()
+                .filter_map(|l| l.strip_prefix("└─ ").or_else(|| l.strip_prefix("├─ ")))
+                .map(|l| l.split_whitespace().next().unwrap_or_default().to_owned())
+                .collect()
+        }
+    }
+
+    /// What one transcript left behind.
+    struct Transcript {
+        state: String,
+        history: String,
+        /// Root spans of the `HOSTILE` and `CONTRADICTION` replies.
+        roots: [Vec<String>; 2],
+    }
+
+    /// Runs `SEED`, then `HOSTILE` (under `:budget 25`, if `budget`) and
+    /// `CONTRADICTION` (under a budget it fits, if `budget`) in `form`,
+    /// and checks the committed state and `:history` against an in-memory
+    /// replay of the statements that should have committed.
+    fn transcript(dir: Option<&TestDir>, budget: bool, form: Form) -> Transcript {
+        let mut atoms = AtomTable::new();
+        let progs: Vec<HluProgram> = [SEED, HOSTILE, CONTRADICTION]
+            .iter()
+            .map(|src| parse_hlu(src, &mut atoms).unwrap())
+            .collect();
+        let (over, contra) = match budget {
+            true => (Outcome::OverBudget, Outcome::Rejected),
+            false => (Outcome::Committed, Outcome::Committed),
+        };
+
+        let mut s = Session::new(dir);
+        s.reply(SEED).unwrap();
+        if budget {
+            s.reply(":budget 25").unwrap();
+        }
+        let hostile = s.submit(form, HOSTILE, &progs[1], over);
+        if budget {
+            s.reply(":budget 100000").unwrap();
+        }
+        let contradiction = s.submit(form, CONTRADICTION, &progs[2], contra);
+
+        let committed = if budget { &progs[..1] } else { &progs[..] };
+        let mut oracle = ClausalDatabase::new();
+        for p in committed {
+            oracle.run(p);
+        }
+        let state = s.reply(":state").unwrap();
+        assert_eq!(
+            state,
+            format!(
+                "{} clause(s): {}",
+                oracle.state().len(),
+                oracle.state().display(&atoms)
+            ),
+            "{form:?}, budget {budget}"
+        );
+        let history = s.reply(":history").unwrap();
+        let expected: Vec<String> = committed
+            .iter()
+            .enumerate()
+            .map(|(i, p)| format!("{:>4}  {}", i + 1, p.display(&atoms)))
+            .collect();
+        assert_eq!(history, expected.join("\n"), "{form:?}, budget {budget}");
+        Transcript {
+            state,
+            history,
+            roots: [hostile, contradiction],
+        }
+    }
+
+    /// Both backends over one (budget, form) combination: the same replies,
+    /// state and history; a durable store that recovers exactly that; and
+    /// EXPLAIN traces that differ only by the durable commit span.
+    fn check(budget: bool, form: Form) {
+        let memory = transcript(None, budget, form);
+        let dir = TestDir::new("shell-transcript");
+        let durable = transcript(Some(&dir), budget, form);
+        assert_eq!(durable.state, memory.state);
+        assert_eq!(durable.history, memory.history);
+
+        let mut reopened = Session::new(Some(&dir));
+        assert_eq!(reopened.reply(":state").unwrap(), memory.state);
+        assert_eq!(reopened.reply(":history").unwrap(), memory.history);
+
+        if cfg!(feature = "trace") && !matches!(form, Form::Plain) {
+            let root = if budget {
+                "governor.stmt"
+            } else {
+                "hlu.stmt.modify"
+            };
+            assert_eq!(memory.roots[0], [root], "{form:?}, budget {budget}");
+            for (mem, dur) in memory.roots.iter().zip(&durable.roots) {
+                let mut expected = mem.clone();
+                if !budget {
+                    expected.push("store.durable.commit".to_owned());
+                }
+                assert_eq!(dur, &expected, "{form:?}, budget {budget}");
+            }
+        }
+    }
+
+    #[test]
+    fn plain() {
+        check(false, Form::Plain);
+    }
+
+    #[test]
+    fn plain_under_budget() {
+        check(true, Form::Plain);
+    }
+
+    #[test]
+    fn explain() {
+        check(false, Form::Explain);
+    }
+
+    #[test]
+    fn explain_under_budget() {
+        check(true, Form::Explain);
+    }
+
+    #[test]
+    fn colon_explain() {
+        check(false, Form::ColonExplain);
+    }
+
+    /// `:explain` runs through the same dispatch as every other statement,
+    /// so an over-budget statement fails and rolls back instead of running
+    /// unbounded.
+    #[test]
+    fn colon_explain_under_budget() {
+        check(true, Form::ColonExplain);
+    }
 }

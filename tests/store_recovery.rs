@@ -261,11 +261,20 @@ fn named_atoms_round_trip() {
     let dir = TestDir::new("rec-names");
     {
         let mut db = ClausalDatabase::open(dir.path()).unwrap();
-        db.run_statement("(insert {rain | snow})").unwrap();
-        db.run_statement("(where {snow} (insert {plows'}) (delete {de_ice}))")
+        let unlimited = pwdb::logic::Limits::unlimited();
+        db.run_statement_governed("(insert {rain | snow})", &unlimited)
+            .1
             .unwrap();
+        db.run_statement_governed(
+            "(where {snow} (insert {plows'}) (delete {de_ice}))",
+            &unlimited,
+        )
+        .1
+        .unwrap();
         db.checkpoint().unwrap();
-        db.run_statement("(assert {!rain})").unwrap();
+        db.run_statement_governed("(assert {!rain})", &unlimited)
+            .1
+            .unwrap();
     }
     let mut db = ClausalDatabase::open(dir.path()).unwrap();
     let names: Vec<String> = db.atoms().iter().map(|(_, n)| n.to_owned()).collect();

@@ -20,7 +20,11 @@ fn explained(src: &str, setup: &[&str]) -> Explanation {
     let HluStatement::Explain(prog) = stmt else {
         panic!("expected an EXPLAIN statement");
     };
-    db.explain(&prog)
+    Explanation::capture(&prog, || {
+        db.run(&prog);
+        Ok::<(), std::convert::Infallible>(())
+    })
+    .0
 }
 
 #[cfg(feature = "trace")]
