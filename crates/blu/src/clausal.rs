@@ -7,6 +7,13 @@
 //! improvements are exactly the "correctness-preserving optimizations"
 //! §4 alludes to (tautology elimination and subsumption reduction).
 //!
+//! The reduced algebra ([`BluClausal::with_reduction`]) returns the
+//! subsumption-minimal form of each paper-exact output. Its `combine` is
+//! one kernel, [`BluClausal::combine_reduced`], that never forms the
+//! products a shared or subsuming operand clause already covers; its
+//! `mask` reduces after each fused elimination step
+//! ([`BluClausal::mask_step`]).
+//!
 //! Complexity (Theorems 2.3.4(b), 2.3.6(b), 2.3.9(b)) — reproduced by the
 //! `pwdb-bench` experiments E1–E5:
 //!
@@ -23,8 +30,9 @@ use std::sync::OnceLock;
 
 use pwdb_logic::cache::MemoCache;
 use pwdb_logic::governor;
-use pwdb_logic::resolution::{drop_atoms, rclosure_on_atom};
-use pwdb_logic::{AtomId, Clause, ClauseSet, Literal};
+use pwdb_logic::index::signature;
+use pwdb_logic::resolution::resolvent;
+use pwdb_logic::{AtomId, Clause, ClauseSet, IndexedClauseSet, Literal};
 use pwdb_metrics::{counter, histogram, timer};
 use pwdb_trace::span;
 
@@ -63,8 +71,10 @@ pub enum GenmaskStrategy {
 #[derive(Debug, Clone, Default)]
 pub struct BluClausal {
     genmask_strategy: GenmaskStrategy,
-    /// Apply subsumption reduction after `combine`, `complement`, and each
-    /// `mask` elimination step. Off by default (paper-exact shapes).
+    /// Return subsumption-reduced outputs: `combine` through
+    /// [`BluClausal::combine_reduced`], a reduction sweep after
+    /// `complement` and after each `mask` elimination step. Off by default
+    /// (paper-exact shapes).
     reduce: bool,
 }
 
@@ -119,6 +129,48 @@ impl BluClausal {
         out
     }
 
+    /// `reduce_subsumed(combine(Φ₁, Φ₂))`, bit for bit, without forming
+    /// the products that the reduction would discard — the `combine` of
+    /// the reduced algebra.
+    ///
+    /// **Collapse lemma.** If `φ₁ ∈ Φ₁` is subsumed by some `φ₂ ∈ Φ₂`,
+    /// then `φ₁ ∨ φ₂ = φ₁` is in the product, and every other product
+    /// `φ₁ ∨ φ` of `φ₁`'s row is a superset of `φ₁`. So the whole row
+    /// reduces to `φ₁` alone — or to nothing when `φ₁` is a tautology,
+    /// since then its whole row is tautological. Columns collapse the same
+    /// way with `Φ₁` and `Φ₂` swapped. Dropping supersets of members that
+    /// are kept does not change the set of subsumption-minimal elements,
+    /// so the collapsed clauses together with the products of the
+    /// remaining rows and columns reduce to the same set as the full
+    /// product.
+    ///
+    /// `where` and `modify` combine two branches derived from one state;
+    /// they share every clause the update leaves untouched, and each shared
+    /// clause collapses (`φ ∨ φ = φ`), so only the touched clauses form
+    /// products.
+    ///
+    /// Two passes: index each operand once and split it, against the
+    /// other operand's index, into collapsed and remaining clauses; then
+    /// stream the collapsed clauses and the remaining × remaining products
+    /// through one subsumption-processed output index. Each pair formed
+    /// charges the governor as in [`Self::combine_clauses`]; the output
+    /// index charges its inserts and checks the live-clause budget as it
+    /// grows.
+    pub fn combine_reduced(phi1: &ClauseSet, phi2: &ClauseSet) -> ClauseSet {
+        let index1 = IndexedClauseSet::from_set(phi1);
+        let index2 = IndexedClauseSet::from_set(phi2);
+        let mut out = IndexedClauseSet::new();
+        let rest1 = split_collapsed(phi1, &index2, &mut out);
+        let rest2 = split_collapsed(phi2, &index1, &mut out);
+        for c1 in &rest1 {
+            for c2 in &rest2 {
+                governor::step_n((c1.len() + c2.len()) as u64 + 1);
+                out.insert_with_subsumption(c1.disjoin(c2));
+            }
+        }
+        out.into_set()
+    }
+
     /// `complement(Φ)` via the recursive support procedure `C` of
     /// Algorithm 2.3.3 (iterated here): start from `Δ = {□}` and for each
     /// clause `γ` replace every `δ ∈ Δ` by `{ δ ∨ ¬λ | λ ∈ Lit[γ] }`.
@@ -153,12 +205,28 @@ impl BluClausal {
     /// discarded, "there are enough others around to completely describe
     /// the constraints on those which are left" — this is resolution-based
     /// variable forgetting.
+    ///
+    /// Fused into one pass, equal bit for bit to
+    /// [`drop_atoms`](pwdb_logic::resolution::drop_atoms) of
+    /// [`rclosure_on_atom`](pwdb_logic::resolution::rclosure_on_atom): the
+    /// non-tautological members and resolvents on `A` that do not mention
+    /// `A` (`drop` rebuilds its output through [`ClauseSet::insert`], so
+    /// raw tautological members leave too). The closure's other clauses
+    /// are never built, since `drop` would discard them.
     pub fn mask_step(phi: &ClauseSet, atom: AtomId) -> ClauseSet {
         counter!("blu.mask.steps").inc();
         let sp = span!("blu.clausal.mask.step", "clauses_in" => phi.len());
-        let closed = rclosure_on_atom(phi, atom);
-        let single = BTreeSet::from([atom]);
-        let out = drop_atoms(&closed, &single);
+        let mut out: ClauseSet = phi.iter().filter(|c| !c.mentions(atom)).cloned().collect();
+        let (pos_side, neg_side) = phi.split_on(atom);
+        for p in &pos_side {
+            for n in &neg_side {
+                governor::step_n((p.len() + n.len()) as u64 + 1);
+                if let Some(r) = resolvent(p, n, atom).filter(|r| !r.mentions(atom)) {
+                    governor::on_live_clauses(out.len() + 1);
+                    out.insert(r);
+                }
+            }
+        }
         sp.attr("clauses_out", out.len());
         out
     }
@@ -310,6 +378,9 @@ impl BluSemantics for BluClausal {
         out
     }
 
+    // `blu.combine.products` adds the Θ(L₁×L₂) bound term of the inputs,
+    // not the pairs formed: with reduction on, `combine_reduced` forms
+    // only the products of the clauses no operand clause subsumes.
     fn op_combine(&self, x: &ClauseSet, y: &ClauseSet) -> ClauseSet {
         counter!("blu.combine.calls").inc();
         counter!("blu.combine.in_length").add((x.length() + y.length()) as u64);
@@ -321,7 +392,11 @@ impl BluSemantics for BluClausal {
         );
         let out = {
             let _t = timer!("blu.combine.wall").start();
-            self.maybe_reduce(Self::combine_clauses(x, y))
+            if self.reduce {
+                Self::combine_reduced(x, y)
+            } else {
+                Self::combine_clauses(x, y)
+            }
         };
         pwdb_logic::cache::note_state_change();
         histogram!("blu.combine.out_length").record(out.length() as u64);
@@ -389,6 +464,26 @@ impl BluSemantics for BluClausal {
         sp.attr("mask_size", out.len());
         out
     }
+}
+
+/// The split pass of [`BluClausal::combine_reduced`]: the members of
+/// `phi` that some member of the other operand subsumes collapse into
+/// `out` (which drops tautologies); the rest are returned for the product
+/// pass.
+fn split_collapsed<'a>(
+    phi: &'a ClauseSet,
+    other: &IndexedClauseSet,
+    out: &mut IndexedClauseSet,
+) -> Vec<&'a Clause> {
+    let mut rest = Vec::new();
+    for c in phi.iter() {
+        if other.is_forward_subsumed(c, signature(c)) {
+            out.insert_with_subsumption(c.clone());
+        } else {
+            rest.push(c);
+        }
+    }
+    rest
 }
 
 #[cfg(test)]

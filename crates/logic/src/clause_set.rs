@@ -153,7 +153,7 @@ impl ClauseSet {
     pub fn reduce_subsumed(&mut self) -> usize {
         let sp = pwdb_trace::span!("logic.subsumption.sweep", "clauses_in" => self.clauses.len());
         let before = self.clauses.len();
-        let mut order: Vec<Clause> = self.clauses.iter().cloned().collect();
+        let mut order: Vec<Clause> = std::mem::take(&mut self.clauses).into_iter().collect();
         order.sort_by_key(Clause::len);
         let mut idx = crate::index::IndexedClauseSet::new();
         for c in order {
@@ -161,7 +161,7 @@ impl ClauseSet {
             // other here (removable, but not auto-dropped).
             idx.insert_with_subsumption_raw(c);
         }
-        *self = idx.to_set();
+        *self = idx.into_set();
         let dropped = before - self.clauses.len();
         sp.attr("dropped", dropped);
         dropped

@@ -115,7 +115,7 @@ fn prime_implicates_indexed(set: &ClauseSet) -> ClauseSet {
             }
         }
     }
-    idx.to_set()
+    idx.into_set()
 }
 
 /// Whether `clause` is an implicate of `set` (by refutation with the

@@ -99,6 +99,16 @@ impl IndexedClauseSet {
         out
     }
 
+    /// Consuming [`Self::to_set`]: moves the live members out instead of
+    /// cloning them.
+    pub fn into_set(self) -> ClauseSet {
+        let mut out = ClauseSet::new();
+        for (c, _) in self.slots.into_iter().flatten() {
+            out.insert_raw(c);
+        }
+        out
+    }
+
     /// Number of live clauses.
     pub fn len(&self) -> usize {
         self.len

@@ -3,8 +3,9 @@
 //! `Resolvent(φ₁, φ₂, A)` is the resolvent with respect to atom `A` of the
 //! clauses `φ₁` and `φ₂`, if it exists. The paper's `rclosure` (Algorithm
 //! 2.3.5) closes a clause set under resolution on a given set of atoms;
-//! both it and full resolution closure live here, shared by the BLU-C
-//! `mask` implementation and the refutation prover.
+//! both it and full resolution closure live here. BLU-C's `mask_step`
+//! fuses `drop ∘ rclosure_on_atom` into one pass and is checked against
+//! them; the refutation prover uses the full closure.
 
 use std::collections::BTreeSet;
 
@@ -134,7 +135,7 @@ fn saturate_indexed(set: &ClauseSet) -> ClauseSet {
             }
         }
     }
-    idx.to_set()
+    idx.into_set()
 }
 
 /// Resolution-refutation consistency check: `Φ` is inconsistent iff the

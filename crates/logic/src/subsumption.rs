@@ -44,7 +44,7 @@ pub fn merge_with_subsumption(set: &mut ClauseSet, other: &ClauseSet) -> usize {
             added += 1;
         }
     }
-    *set = idx.to_set();
+    *set = idx.into_set();
     added
 }
 

@@ -17,10 +17,11 @@ use std::fmt::Debug;
 
 use pwdb::blu::{check_states, BluClausal, BluSemantics, GenmaskStrategy};
 use pwdb::hlu::{ClausalDatabase, HluProgram, InstanceDatabase};
-use pwdb::logic::resolution::saturate;
+use pwdb::logic::resolution::{drop_atoms, rclosure_on_atom, saturate};
 use pwdb::logic::subsumption::merge_with_subsumption;
 use pwdb::logic::{
-    cache, prime_implicates, reference, AtomId, Clause, ClauseSet, IndexedClauseSet, Rng,
+    cache, govern, governor, prime_implicates, reference, AtomId, Budget, Clause, ClauseSet,
+    ExecError, IndexedClauseSet, Limits, Literal, Resource, Rng,
 };
 use pwdb::worlds::{inset, WorldSet};
 use pwdb_suite::testgen;
@@ -136,6 +137,139 @@ fn blu_primitives_agree() {
                 alg.op_genmask(&y),
                 dep,
                 "primitives #{case} {strategy:?}: genmask != Dep"
+            );
+        }
+    }
+}
+
+/// `combine_reduced(x, y)` equals the full product reduced by both the
+/// engine and the reference sweep.
+fn reduced_combine_agrees_on(ctx: &str, x: &ClauseSet, y: &ClauseSet) {
+    let product = BluClausal::combine_clauses(x, y);
+    let kernel = BluClausal::combine_reduced(x, y);
+    run_both(
+        &format!("combine_reduced {ctx} vs engine"),
+        on_copy(&product, ClauseSet::reduce_subsumed).0,
+        kernel.clone(),
+    );
+    run_both(
+        &format!("combine_reduced {ctx} vs reference"),
+        on_copy(&product, reference::reduce_subsumed).0,
+        kernel,
+    );
+}
+
+/// The reduced algebra's `combine` kernel on operands that share clauses
+/// or subsume each other's clauses — the collapse path, which
+/// independently drawn operands almost never reach: branch pairs
+/// `base ∪ d₁` / `base ∪ d₂`, a strict subset of one side's clause put on
+/// the other side, raw tautological members, and `x = y`, `∅`, `{□}`.
+/// A governed call on two large operands with nothing to collapse still
+/// trips a tight step budget.
+#[test]
+fn reduced_combine_agrees() {
+    let mut rng = Rng::new(0xD1F6);
+    let empty = ClauseSet::new();
+    let contradiction = ClauseSet::contradiction();
+    let mut shared_cases = 0;
+    for case in 0..64 {
+        let base = testgen::clause_set(&mut rng, N_ATOMS, 6, 4);
+        let d1 = testgen::clause_set(&mut rng, N_ATOMS, 3, 3);
+        let d2 = testgen::clause_set(&mut rng, N_ATOMS, 3, 3);
+        let mut x = BluClausal::assert_clauses(&base, &d1);
+        let mut y = BluClausal::assert_clauses(&base, &d2);
+        if case % 2 == 0 {
+            // A strict subset on one side of a clause on the other side.
+            if let Some(c) = x.iter().find(|c| c.len() >= 2).cloned() {
+                y.insert(c.without(c.literals()[0]));
+            }
+        }
+        if case % 4 == 1 {
+            let a = AtomId(rng.below(N_ATOMS as u64) as u32);
+            let b = AtomId(rng.below(N_ATOMS as u64) as u32);
+            let tautology = Clause::new(vec![Literal::pos(a), Literal::neg(a), Literal::pos(b)]);
+            if case % 8 == 1 {
+                x.insert_raw(tautology);
+            } else {
+                y.insert_raw(tautology);
+            }
+        }
+        if x.iter().any(|c| y.contains(c)) {
+            shared_cases += 1;
+        }
+        let ctx = format!("#{case}");
+        reduced_combine_agrees_on(&ctx, &x, &y);
+        reduced_combine_agrees_on(&format!("{ctx} swapped"), &y, &x);
+        reduced_combine_agrees_on(&format!("{ctx} x = x"), &x, &x);
+        for (name, other) in [("empty", &empty), ("contradiction", &contradiction)] {
+            reduced_combine_agrees_on(&format!("{ctx} x, {name}"), &x, other);
+            reduced_combine_agrees_on(&format!("{ctx} {name}, x"), other, &x);
+        }
+    }
+    assert!(
+        shared_cases >= 32,
+        "only {shared_cases} cases shared a clause"
+    );
+
+    // Operands over disjoint atoms: no clause of one side subsumes one of
+    // the other, so every pair is formed and charged (7 steps for two
+    // width-3 clauses), and a budget of one step per pair trips.
+    let side = |first: u32| -> ClauseSet {
+        (0..40u32)
+            .map(|i| {
+                Clause::new(
+                    [0, 1, 3]
+                        .iter()
+                        .enumerate()
+                        .map(|(k, d)| {
+                            Literal::new(AtomId(first + (i + d) % 8), (i / 8) >> k & 1 == 0)
+                        })
+                        .collect(),
+                )
+            })
+            .collect()
+    };
+    let (x, y) = (side(0), side(8));
+    let pairs = (x.len() * y.len()) as u64;
+    assert_eq!(pairs, 1600);
+    govern(&Limits::unlimited(), || BluClausal::combine_reduced(&x, &y)).expect("unlimited");
+    assert!(
+        governor::last_spent() >= 7 * pairs,
+        "{} steps charged for {pairs} pairs",
+        governor::last_spent()
+    );
+    let limits = Limits::budget(Budget::steps(pairs));
+    match govern(&limits, || BluClausal::combine_reduced(&x, &y)) {
+        Err(ExecError::BudgetExceeded {
+            resource: Resource::Steps,
+            ..
+        }) => {}
+        other => panic!("expected BudgetExceeded(Steps), got {other:?}"),
+    }
+}
+
+/// The fused `mask_step` equals the paper's Algorithm 2.3.5 step,
+/// `drop({A}, rclosure_on_atom(Φ, A))`, bit for bit — on sets with raw
+/// tautological members too, which `drop` discards.
+#[test]
+fn fused_mask_step_agrees() {
+    let mut rng = Rng::new(0xD1F7);
+    for case in 0..64 {
+        let mut phi = testgen::clause_set(&mut rng, N_ATOMS, 8, 4);
+        for _ in 0..rng.range_usize(0, 3) {
+            let a = AtomId(rng.below(N_ATOMS as u64) as u32);
+            let b = AtomId(rng.below(N_ATOMS as u64) as u32);
+            phi.insert_raw(Clause::new(vec![
+                Literal::pos(a),
+                Literal::neg(a),
+                Literal::neg(b),
+            ]));
+        }
+        for atom in (0..N_ATOMS as u32).map(AtomId) {
+            run_both(
+                &format!("mask_step #{case} on {atom:?}"),
+                drop_atoms(&rclosure_on_atom(&phi, atom), &BTreeSet::from([atom])),
+                BluClausal::mask_step(&phi, atom),
             );
         }
     }
