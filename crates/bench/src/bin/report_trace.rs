@@ -1,7 +1,7 @@
 //! Span-traced run of the E1–E5 workloads.
 //!
-//! Replays the same workloads as `report_metrics` with the `pwdb-trace`
-//! tracer recording, and writes the collected spans as
+//! Replays the same workloads as `report_metrics` with the `pwdb-metrics`
+//! span tracer recording, and writes the collected spans as
 //! `BENCH_trace.json` in Chrome trace-event format (load it in
 //! `chrome://tracing` or Perfetto). Each experiment is captured
 //! separately so a dropped ring buffer in one cannot evict another's
@@ -10,19 +10,19 @@
 //! process-wide epoch.
 
 use pwdb_bench::workloads;
-use pwdb_trace::{export_chrome, Trace};
+use pwdb_metrics::Trace;
 
 /// Ring capacity per experiment. E1 alone completes tens of thousands of
 /// spans; this keeps the dominant cost structure while bounding memory.
 const CAPACITY: usize = 1 << 16;
 
 fn main() {
-    pwdb_trace::set_capacity(CAPACITY);
+    pwdb_metrics::set_capacity(CAPACITY);
 
     let mut merged = Trace::default();
     let mut sections: Vec<(&str, usize, u64)> = Vec::new();
     for &(name, f) in workloads::ALL {
-        let ((), trace) = pwdb_trace::capture(f);
+        let ((), trace) = pwdb_metrics::capture(f);
         sections.push((name, trace.spans.len(), trace.dropped));
         merged.dropped += trace.dropped;
         merged.spans.extend(trace.spans);
@@ -46,7 +46,7 @@ fn main() {
         );
     }
 
-    let doc = export_chrome(&merged);
+    let doc = merged.to_chrome_json();
     let rendered = doc.render();
 
     // Round-trip through the hand-written parser before writing.

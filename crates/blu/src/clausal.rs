@@ -33,8 +33,7 @@ use pwdb_logic::governor;
 use pwdb_logic::index::signature;
 use pwdb_logic::resolution::resolvent;
 use pwdb_logic::{AtomId, Clause, ClauseSet, IndexedClauseSet, Literal};
-use pwdb_metrics::{counter, histogram, timer};
-use pwdb_trace::span;
+use pwdb_metrics::{counter, probe, span};
 
 use crate::eval::BluSemantics;
 
@@ -353,28 +352,27 @@ impl BluSemantics for BluClausal {
 
     // Each primitive records, under the theorem whose bound it witnesses
     // (2.3.4(b) for assert/combine/complement, 2.3.6(b) for mask,
-    // 2.3.9(b) for genmask): call count, input length L (total literal
-    // count, the paper's measure), wall time, and an output-size
-    // histogram. The trace span per call carries the theorem's dominant
-    // cost term as its `cost` attribute. See docs/PAPER_MAP.md.
+    // 2.3.9(b) for genmask), one probe — call count, wall time, an
+    // output-size histogram and a trace span carrying the theorem's
+    // dominant cost term as its `cost` attribute — plus its input length
+    // L (total literal count, the paper's measure). See docs/PAPER_MAP.md.
 
     fn op_assert(&self, x: &ClauseSet, y: &ClauseSet) -> ClauseSet {
-        counter!("blu.assert.calls").inc();
         counter!("blu.assert.in_length").add((x.length() + y.length()) as u64);
-        let sp = span!(
+        let p = probe!(
             "blu.clausal.assert",
+            calls = "blu.assert.calls",
+            wall = "blu.assert.wall",
+            out = "blu.assert.out_length",
             "in_clauses" => x.len() + y.len(),
             "cost" => x.length() + y.length(), // Θ(L₁+L₂), Thm 2.3.4(b)
         );
-        let out = {
-            let _t = timer!("blu.assert.wall").start();
-            Self::assert_clauses(x, y)
-        };
+        let out = Self::assert_clauses(x, y);
         // State-mutating primitive: report so the memo caches can enforce
         // their bounds (keys are pure, so this is memory, not staleness).
         pwdb_logic::cache::note_state_change();
-        histogram!("blu.assert.out_length").record(out.length() as u64);
-        sp.attr("out_clauses", out.len());
+        p.attr("out_clauses", out.len());
+        p.finish(out.length());
         out
     }
 
@@ -382,86 +380,85 @@ impl BluSemantics for BluClausal {
     // not the pairs formed: with reduction on, `combine_reduced` forms
     // only the products of the clauses no operand clause subsumes.
     fn op_combine(&self, x: &ClauseSet, y: &ClauseSet) -> ClauseSet {
-        counter!("blu.combine.calls").inc();
         counter!("blu.combine.in_length").add((x.length() + y.length()) as u64);
         counter!("blu.combine.products").add((x.length() * y.length()) as u64);
-        let sp = span!(
+        let p = probe!(
             "blu.clausal.combine",
+            calls = "blu.combine.calls",
+            wall = "blu.combine.wall",
+            out = "blu.combine.out_length",
             "in_clauses" => x.len() + y.len(),
             "cost" => x.length() * y.length(), // Θ(L₁×L₂), Thm 2.3.4(b)
         );
-        let out = {
-            let _t = timer!("blu.combine.wall").start();
-            if self.reduce {
-                Self::combine_reduced(x, y)
-            } else {
-                Self::combine_clauses(x, y)
-            }
+        let out = if self.reduce {
+            Self::combine_reduced(x, y)
+        } else {
+            Self::combine_clauses(x, y)
         };
         pwdb_logic::cache::note_state_change();
-        histogram!("blu.combine.out_length").record(out.length() as u64);
-        sp.attr("out_clauses", out.len());
+        p.attr("out_clauses", out.len());
+        p.finish(out.length());
         out
     }
 
     fn op_complement(&self, x: &ClauseSet) -> ClauseSet {
-        counter!("blu.complement.calls").inc();
         counter!("blu.complement.in_length").add(x.length() as u64);
-        let sp = span!(
+        let p = probe!(
             "blu.clausal.complement",
+            calls = "blu.complement.calls",
+            wall = "blu.complement.wall",
+            out = "blu.complement.out_length",
             "in_clauses" => x.len(),
             "cost" => x.length(), // output is Θ(ε^L) in this L, Thm 2.3.4(b)
         );
-        let out = {
-            let _t = timer!("blu.complement.wall").start();
-            self.maybe_reduce(Self::complement_clauses(x))
-        };
-        histogram!("blu.complement.out_length").record(out.length() as u64);
-        sp.attr("out_clauses", out.len());
+        let out = self.maybe_reduce(Self::complement_clauses(x));
+        p.attr("out_clauses", out.len());
+        p.finish(out.length());
         out
     }
 
     fn op_mask(&self, x: &ClauseSet, m: &BTreeSet<AtomId>) -> ClauseSet {
-        counter!("blu.mask.calls").inc();
         counter!("blu.mask.in_length").add(x.length() as u64);
         counter!("blu.mask.letters").add(m.len() as u64);
-        let sp = span!(
+        let p = probe!(
             "blu.clausal.mask",
+            calls = "blu.mask.calls",
+            wall = "blu.mask.wall",
+            out = "blu.mask.out_length",
             "in_clauses" => x.len(),
             "letters" => m.len(),
             "cost" => x.length(), // O(L^{2^|P|}) in this L, Thm 2.3.6(b)
         );
-        let out = {
-            let _t = timer!("blu.mask.wall").start();
-            self.mask_clauses(x, m)
-        };
-        histogram!("blu.mask.out_length").record(out.length() as u64);
-        sp.attr("out_clauses", out.len());
+        let out = self.mask_clauses(x, m);
+        p.attr("out_clauses", out.len());
+        p.finish(out.length());
         out
     }
 
     fn op_genmask(&self, x: &ClauseSet) -> BTreeSet<AtomId> {
-        counter!("blu.genmask.calls").inc();
         counter!("blu.genmask.in_length").add(x.length() as u64);
-        let sp = span!("blu.clausal.genmask", "in_clauses" => x.len());
-        if sp.is_recording() {
+        let p = probe!(
+            "blu.clausal.genmask",
+            calls = "blu.genmask.calls",
+            wall = "blu.genmask.wall",
+            out = "blu.genmask.mask_size",
+            "in_clauses" => x.len(),
+        );
+        if p.is_recording() {
             // Θ(2^|Prop|·L·|Prop|²), Thm 2.3.9(b): record the dominant
             // 2^|Prop| factor (saturating; |Prop| can exceed 63 under the
             // SAT strategy). Gated: props() walks the whole set.
             let props = x.props().len();
-            sp.attr("props", props);
-            sp.attr("cost", 1u64.checked_shl(props as u32).unwrap_or(u64::MAX));
+            p.attr("props", props);
+            p.attr("cost", 1u64.checked_shl(props as u32).unwrap_or(u64::MAX));
         }
-        let out = {
-            let _t = timer!("blu.genmask.wall").start();
-            let key = (self.genmask_strategy, x.clone());
-            genmask_cache().get_or_insert_with(key, || match self.genmask_strategy {
-                GenmaskStrategy::PaperExhaustive => Self::genmask_paper(x),
-                GenmaskStrategy::SatBased => Self::genmask_sat(x),
-            })
-        };
-        histogram!("blu.genmask.mask_size").record(out.len() as u64);
-        sp.attr("mask_size", out.len());
+        let key = (self.genmask_strategy, x.clone());
+        let out = genmask_cache().get_or_insert_with(key, || match self.genmask_strategy {
+            GenmaskStrategy::PaperExhaustive => Self::genmask_paper(x),
+            GenmaskStrategy::SatBased => Self::genmask_sat(x),
+        });
+        p.attr("mask_size", out.len());
+        p.finish(out.len());
         out
     }
 }

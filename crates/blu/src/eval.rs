@@ -10,8 +10,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use pwdb_metrics::counter;
-use pwdb_trace::span;
+use pwdb_metrics::{counter, span};
 
 use crate::ast::{MTerm, Param, Program, STerm, Sort};
 

@@ -85,7 +85,7 @@ impl Optimizer {
 
     /// Rewrites a term to a fixpoint; returns the new term and stats.
     pub fn optimize_term(&self, term: &STerm) -> (STerm, OptimizeStats) {
-        let sp = pwdb_trace::span!("blu.optimize", "size_before" => term.size());
+        let sp = pwdb_metrics::span!("blu.optimize", "size_before" => term.size());
         let mut stats = OptimizeStats {
             size_before: term.size(),
             ..Default::default()

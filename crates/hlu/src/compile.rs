@@ -136,7 +136,7 @@ impl Fragment {
     /// a compilation is the §3.1–3.2 translation tree itself: `where`
     /// nodes contain the spans of their branch subprograms.
     fn expand(prog: &HluProgram, state: STerm, fresh: &mut u32) -> Fragment {
-        let _sp = pwdb_trace::span!(compile_span_name(prog));
+        let _sp = pwdb_metrics::span!(compile_span_name(prog));
         match prog {
             HluProgram::Where(cond, p_then, p_else) => {
                 let name = format!("s{}", *fresh);
@@ -180,7 +180,7 @@ fn compile_span_name(prog: &HluProgram) -> &'static str {
 /// with `atomappend` suffixes: each occurrence of a subprogram gets its
 /// own parameter instances.
 pub fn compile(prog: &HluProgram) -> Compiled {
-    let sp = pwdb_trace::span!("hlu.compile");
+    let sp = pwdb_metrics::span!("hlu.compile");
     let mut fresh = 1;
     let fragment = Fragment::expand(prog, s0(), &mut fresh);
     let mut varlist = vec!["s0".to_owned()];

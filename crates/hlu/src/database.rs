@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 
 use pwdb_blu::{run_program, BluClausal, BluInstance, BluSemantics, Value};
 use pwdb_logic::{cnf_of, governor, AtomId, ClauseSet, ExecError, Limits, LogicError, Wff};
-use pwdb_metrics::{counter, timer};
+use pwdb_metrics::{counter, probe};
 use pwdb_worlds::{Schema, WorldSet};
 
 use crate::ast::HluProgram;
@@ -259,11 +259,13 @@ impl<B: HluBackend> Database<B> {
     /// update may leave no possible world). [`Database::run_governed`] is
     /// the transactional form.
     pub fn run(&mut self, prog: &HluProgram) {
-        counter!("hlu.stmt.total").inc();
         let (stmt_counter, stmt_span) = stmt_kind(prog);
         stmt_counter.inc();
-        let _t = timer!("hlu.update.wall").start();
-        let _sp = pwdb_trace::span(stmt_span);
+        let _p = probe!(
+            stmt_span,
+            calls = "hlu.stmt.total",
+            wall = "hlu.update.wall"
+        );
         let compiled = compile(prog);
         let mut args: Vec<Value<B::State, B::Mask>> = Vec::with_capacity(compiled.args.len() + 1);
         args.push(Value::State(self.state.clone()));
@@ -276,9 +278,11 @@ impl<B: HluBackend> Database<B> {
         let mut next = run_program(&self.backend, &compiled.program, args)
             .expect("compiled programs bind all parameters");
         if let Some(con) = &self.constraints {
-            counter!("hlu.constraints.enforcements").inc();
-            let _tc = timer!("hlu.constraints.wall").start();
-            let _spc = pwdb_trace::span!("hlu.constraints");
+            let _p = probe!(
+                "hlu.constraints",
+                calls = "hlu.constraints.enforcements",
+                wall = "hlu.constraints.wall",
+            );
             next = self
                 .backend
                 .op_assert(&next, &self.backend.lower_state(con));
@@ -315,17 +319,21 @@ impl<B: HluBackend> Database<B> {
 
     /// Whether `wff` holds in every possible world.
     pub fn is_certain(&self, wff: &Wff) -> bool {
-        counter!("hlu.query.certain.calls").inc();
-        let _t = timer!("hlu.query.certain.wall").start();
-        let _sp = pwdb_trace::span!("hlu.query.certain");
+        let _p = probe!(
+            "hlu.query.certain",
+            calls = "hlu.query.certain.calls",
+            wall = "hlu.query.certain.wall",
+        );
         self.backend.certain(&self.state, wff)
     }
 
     /// Whether `wff` holds in at least one possible world.
     pub fn is_possible(&self, wff: &Wff) -> bool {
-        counter!("hlu.query.possible.calls").inc();
-        let _t = timer!("hlu.query.possible.wall").start();
-        let _sp = pwdb_trace::span!("hlu.query.possible");
+        let _p = probe!(
+            "hlu.query.possible",
+            calls = "hlu.query.possible.calls",
+            wall = "hlu.query.possible.wall",
+        );
         // `¬w` not certain means some world satisfies `w`, so the state is
         // consistent too: no separate satisfiability check is needed.
         !self.backend.certain(&self.state, &wff.clone().not())
@@ -392,7 +400,7 @@ impl<B: HluBackend> Database<B> {
         limits: &Limits,
     ) -> Result<(), GovernedError> {
         counter!("governor.stmt.total").inc();
-        let sp = pwdb_trace::span!("governor.stmt");
+        let sp = pwdb_metrics::span!("governor.stmt");
         let saved = self.savepoint();
         let result = {
             let this = &mut *self;
@@ -470,7 +478,7 @@ pub struct Explanation {
     /// Rendered parameter bindings `s1 = …`, in order.
     pub args: Vec<String>,
     /// The recorded span tree (empty in a no-op build).
-    pub trace: pwdb_trace::Trace,
+    pub trace: pwdb_metrics::Trace,
     /// `"committed"`, or the rendering of the error the statement failed
     /// with (budget exceeded, cancelled, rejected, engine panic, I/O).
     pub outcome: String,
@@ -493,7 +501,7 @@ impl Explanation {
         exec: impl FnOnce() -> Result<(), E>,
     ) -> (Explanation, Result<(), E>) {
         let compiled = compile(prog);
-        let (result, trace) = pwdb_trace::capture(exec);
+        let (result, trace) = pwdb_metrics::capture(exec);
         let args = compiled
             .args
             .iter()

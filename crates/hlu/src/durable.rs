@@ -165,7 +165,7 @@ impl DurableDatabase {
             "open_with requires a fresh database (its state must be \
              derivable from the log alone)"
         );
-        let _sp = pwdb_trace::span!("store.recover");
+        let _sp = pwdb_metrics::span!("store.durable.open");
         let (store, recovery) = Store::open(dir)?;
 
         let mut atoms = AtomTable::new();
@@ -205,7 +205,7 @@ impl DurableDatabase {
         let baked = prefix_history.len();
         db.restore_history(prefix_history, baked);
         {
-            let _sp = pwdb_trace::span!("store.recover.replay");
+            let _sp = pwdb_metrics::span!("store.recover.replay");
             for prog in &suffix {
                 db.run(prog);
                 counter!("store.recover.replayed").inc();
@@ -391,7 +391,7 @@ impl DurableDatabase {
     /// watermark is rolled back with it: nothing of the failed statement —
     /// neither its `A` records nor its `S` record — is in the log.
     fn log_statement(&mut self, prog: &HluProgram) -> Result<(), DurableError> {
-        let _sp = pwdb_trace::span!("store.durable.commit");
+        let _sp = pwdb_metrics::span!("store.durable.commit");
         let atoms_watermark = self.persisted_atoms;
         self.ensure_named(prog)?;
         let result = (|| -> Result<(), DurableError> {

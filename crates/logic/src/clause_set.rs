@@ -151,7 +151,7 @@ impl ClauseSet {
     /// Members are re-inserted ascending by length through the
     /// occurrence index, where only forward checks can fire.
     pub fn reduce_subsumed(&mut self) -> usize {
-        let sp = pwdb_trace::span!("logic.subsumption.sweep", "clauses_in" => self.clauses.len());
+        let sp = pwdb_metrics::span!("logic.subsumption.sweep", "clauses_in" => self.clauses.len());
         let before = self.clauses.len();
         let mut order: Vec<Clause> = std::mem::take(&mut self.clauses).into_iter().collect();
         order.sort_by_key(Clause::len);

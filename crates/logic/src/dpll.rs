@@ -8,8 +8,7 @@
 //! literals and clause learning would be over-engineering, but the solver
 //! is exact and handles the worst cases the benchmarks construct.
 
-use pwdb_metrics::counter;
-use pwdb_trace::span;
+use pwdb_metrics::{counter, span};
 
 use crate::atom::AtomId;
 use crate::clause::Clause;

@@ -18,8 +18,7 @@
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
-use pwdb_metrics::counter;
-use pwdb_trace::span;
+use pwdb_metrics::{counter, span};
 
 use crate::atom::AtomId;
 use crate::cache::MemoCache;

@@ -9,8 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use pwdb_metrics::counter;
-use pwdb_trace::span;
+use pwdb_metrics::{counter, span};
 
 use crate::atom::AtomId;
 use crate::clause::Clause;

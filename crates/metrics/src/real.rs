@@ -1,10 +1,13 @@
-//! The live implementation, compiled when the `enabled` feature is on.
+//! The live metrics registry and the [`Probe`] guard, compiled when the
+//! `enabled` feature is on.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use crate::record::AttrValue;
+use crate::tracer::SpanGuard;
 use crate::{HistogramStat, MetricsSnapshot, TimerStat};
 
 /// A monotone event counter on a relaxed `AtomicU64`.
@@ -38,7 +41,7 @@ impl Counter {
 
 /// Accumulated wall time: an event count plus total elapsed nanoseconds.
 #[derive(Debug)]
-pub struct Timer {
+pub(crate) struct Timer {
     count: AtomicU64,
     total_ns: AtomicU64,
 }
@@ -48,15 +51,6 @@ impl Timer {
         Timer {
             count: AtomicU64::new(0),
             total_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// Start timing; the returned guard records on drop.
-    #[inline]
-    pub fn start(&'static self) -> TimerGuard {
-        TimerGuard {
-            timer: self,
-            start: Instant::now(),
         }
     }
 
@@ -81,24 +75,11 @@ impl Timer {
     }
 }
 
-/// Records the elapsed time into its [`Timer`] when dropped.
-#[must_use = "dropping the guard immediately records ~zero elapsed time"]
-pub struct TimerGuard {
-    timer: &'static Timer,
-    start: Instant,
-}
-
-impl Drop for TimerGuard {
-    fn drop(&mut self) {
-        self.timer.observe(self.start.elapsed());
-    }
-}
-
 const BUCKETS: usize = 65;
 
 /// A log2-bucketed size distribution. Bucket `0` holds zeros; bucket `i`
 /// (for `i >= 1`) holds values in `[2^(i-1), 2^i - 1]`.
-pub struct Histogram {
+pub(crate) struct Histogram {
     count: AtomicU64,
     sum: AtomicU64,
     buckets: [AtomicU64; BUCKETS],
@@ -165,17 +146,103 @@ pub fn counter(name: &'static str) -> &'static Counter {
 }
 
 /// The timer registered under `name` (created on first use).
-pub fn timer(name: &'static str) -> &'static Timer {
+pub(crate) fn timer(name: &'static str) -> &'static Timer {
     let mut map = registry().timers.lock().unwrap();
     map.entry(name)
         .or_insert_with(|| Box::leak(Box::new(Timer::new())))
 }
 
 /// The histogram registered under `name` (created on first use).
-pub fn histogram(name: &'static str) -> &'static Histogram {
+pub(crate) fn histogram(name: &'static str) -> &'static Histogram {
     let mut map = registry().histograms.lock().unwrap();
     map.entry(name)
         .or_insert_with(|| Box::leak(Box::new(Histogram::new())))
+}
+
+/// The metric handles of one [`probe!`](crate::probe) call site: its call
+/// counter, its wall-time timer and, optionally, its output-size
+/// histogram. Built in a `static` by the macro; the registry lookups run
+/// once, on the site's first call.
+pub struct ProbeSite {
+    calls: &'static str,
+    wall: &'static str,
+    out: Option<&'static str>,
+    handles: OnceLock<Handles>,
+}
+
+struct Handles {
+    calls: &'static Counter,
+    wall: &'static Timer,
+    out: Option<&'static Histogram>,
+}
+
+impl ProbeSite {
+    /// A site with these metric names; nothing is registered until its
+    /// first [`open`](ProbeSite::open).
+    pub const fn new(calls: &'static str, wall: &'static str, out: Option<&'static str>) -> Self {
+        ProbeSite {
+            calls,
+            wall,
+            out,
+            handles: OnceLock::new(),
+        }
+    }
+
+    /// Starts one call at this site, inside a span named `span`.
+    #[inline]
+    pub fn open(&'static self, span: &'static str) -> Probe {
+        let handles = self.handles.get_or_init(|| Handles {
+            calls: counter(self.calls),
+            wall: timer(self.wall),
+            out: self.out.map(histogram),
+        });
+        let start = Instant::now();
+        Probe {
+            handles,
+            start,
+            span: SpanGuard::open(span, || start),
+        }
+    }
+}
+
+/// One instrumented call: a span plus its site's metrics, sharing one
+/// start and one end instant. Dropping the probe closes it — it counts
+/// the call, adds the elapsed time to the wall timer and ends the span —
+/// and so does [`Probe::finish`], which also records the output size.
+#[must_use = "dropping the probe ends the call immediately"]
+pub struct Probe {
+    handles: &'static Handles,
+    start: Instant,
+    span: SpanGuard,
+}
+
+impl Probe {
+    /// Whether the span is recording (gate costly attributes on this).
+    pub fn is_recording(&self) -> bool {
+        self.span.is_recording()
+    }
+
+    /// Attaches a structured attribute to the span.
+    pub fn attr(&self, key: &'static str, value: impl Into<AttrValue>) {
+        self.span.attr(key, value);
+    }
+
+    /// Closes the probe, recording `out` in the site's output-size
+    /// histogram (if it has one).
+    pub fn finish(self, out: usize) {
+        if let Some(h) = self.handles.out {
+            h.record(out as u64);
+        }
+    }
+}
+
+impl Drop for Probe {
+    fn drop(&mut self) {
+        let end = Instant::now();
+        self.handles.calls.inc();
+        self.handles.wall.observe(end.duration_since(self.start));
+        self.span.close(end);
+    }
 }
 
 /// A point-in-time copy of every registered metric.

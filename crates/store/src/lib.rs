@@ -173,7 +173,7 @@ impl Store {
     /// valid snapshot, and compute the replay suffix. The returned
     /// [`Store`] is positioned to append after the valid prefix.
     pub fn open(dir: &Path) -> std::io::Result<(Store, Recovery)> {
-        let _sp = pwdb_trace::span!("store.recover");
+        let _sp = pwdb_metrics::span!("store.recover");
         std::fs::create_dir_all(dir)?;
         let wal_path = dir.join("wal.log");
 
@@ -327,7 +327,7 @@ impl Store {
     /// a failed checkpoint never corrupts — the snapshot is written to a
     /// temporary file and renamed into place only when complete.
     pub fn checkpoint(&mut self, data: &SnapshotData) -> Result<(PathBuf, u64), StoreError> {
-        let _sp = pwdb_trace::span!("store.checkpoint");
+        let _sp = pwdb_metrics::span!("store.checkpoint");
         // Anything buffered must be durable before a snapshot may cover it.
         self.commit()?;
         let mut backoff = self.retry.backoff;

@@ -153,7 +153,7 @@ pub fn snapshot_file_name(seq: u64) -> String {
 /// Writes a snapshot atomically into `dir`, returning its path and byte
 /// size. Durable (file and directory both fsynced) when this returns.
 pub fn write_snapshot(dir: &Path, data: &SnapshotData) -> std::io::Result<(PathBuf, u64)> {
-    let _sp = pwdb_trace::span!("store.snapshot.write");
+    let _sp = pwdb_metrics::span!("store.snapshot.write");
     let bytes = data.encode();
     let final_path = dir.join(snapshot_file_name(data.wal_records));
     let tmp_path = dir.join(format!(".tmp-{}", snapshot_file_name(data.wal_records)));
@@ -189,7 +189,7 @@ pub struct LatestSnapshot {
 /// validates, skipping (but not deleting) corrupt ones. Leftover
 /// `.tmp-*` files from a crashed checkpoint are ignored entirely.
 pub fn load_latest(dir: &Path) -> std::io::Result<LatestSnapshot> {
-    let _sp = pwdb_trace::span!("store.recover.snapshot");
+    let _sp = pwdb_metrics::span!("store.recover.snapshot");
     let mut seqs: Vec<(u64, PathBuf)> = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;

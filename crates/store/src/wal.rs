@@ -94,7 +94,7 @@ impl WalScan {
 /// record prefix. Non-UTF-8 payloads stop the scan like a checksum
 /// failure would: everything from that record on counts as the tail.
 pub fn scan(path: &Path) -> std::io::Result<WalScan> {
-    let _sp = pwdb_trace::span!("store.wal.scan");
+    let _sp = pwdb_metrics::span!("store.wal.scan");
     let buf = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
@@ -203,7 +203,7 @@ impl Wal {
 
     /// Buffers one record. Not durable until [`Wal::sync`] returns.
     pub fn append(&mut self, record: &Record) -> std::io::Result<()> {
-        let _sp = pwdb_trace::span!("store.wal.append");
+        let _sp = pwdb_metrics::span!("store.wal.append");
         let encoded = record.encode();
         self.pending.extend_from_slice(&encoded);
         self.pending_records += 1;
@@ -229,7 +229,7 @@ impl Wal {
     /// short write deliberately leaves a torn prefix of the pending bytes
     /// on disk to exercise exactly that path.
     pub fn sync_injected(&mut self, fault: Option<WriteFaultKind>) -> std::io::Result<()> {
-        let _sp = pwdb_trace::span!("store.wal.fsync");
+        let _sp = pwdb_metrics::span!("store.wal.fsync");
         self.heal_dirty_tail()?;
         match fault {
             Some(WriteFaultKind::ShortWrite) => {

@@ -100,7 +100,7 @@ fn main() {
         }
         // With `:trace on`, show the spans each command produced.
         if shell.trace_on {
-            let trace = pwdb_trace::take();
+            let trace = pwdb_metrics::take();
             if !trace.is_empty() {
                 print!("{}", trace.render_tree());
             }
@@ -325,19 +325,19 @@ fn execute(line: &str, backend: &mut Backend, shell: &mut Shell) -> Result<Reply
     if let Some(arg) = line.strip_prefix(":trace") {
         match arg.trim() {
             "on" => {
-                pwdb_trace::set_enabled(true);
-                let on = pwdb_trace::is_enabled();
+                pwdb_metrics::set_enabled(true);
+                let on = pwdb_metrics::is_enabled();
                 shell.trace_on = on;
                 return Ok(Reply::Text(if on {
                     "tracing on".to_owned()
                 } else {
-                    "tracing unavailable (built without the `trace` feature)".to_owned()
+                    "tracing unavailable (built without the `metrics` feature)".to_owned()
                 }));
             }
             "off" => {
                 shell.trace_on = false;
-                pwdb_trace::set_enabled(false);
-                let _ = pwdb_trace::take(); // discard unprinted spans
+                pwdb_metrics::set_enabled(false);
+                let _ = pwdb_metrics::take(); // discard unprinted spans
                 return Ok(Reply::Text("tracing off".to_owned()));
             }
             other => return Err(format!("usage: :trace on|off (got '{other}')")),
@@ -663,7 +663,7 @@ mod tests {
         assert_eq!(reopened.reply(":state").unwrap(), memory.state);
         assert_eq!(reopened.reply(":history").unwrap(), memory.history);
 
-        if cfg!(feature = "trace") && !matches!(form, Form::Plain) {
+        if cfg!(feature = "metrics") && !matches!(form, Form::Plain) {
             let root = if budget {
                 "governor.stmt"
             } else {

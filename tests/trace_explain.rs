@@ -27,7 +27,7 @@ fn explained(src: &str, setup: &[&str]) -> Explanation {
     .0
 }
 
-#[cfg(feature = "trace")]
+#[cfg(feature = "metrics")]
 mod with_tracer {
     use super::*;
 
@@ -101,13 +101,62 @@ mod with_tracer {
 
     #[test]
     fn explain_leaves_ambient_tracing_untouched() {
-        pwdb_trace::set_enabled(false);
-        let _ = pwdb_trace::take();
+        pwdb_metrics::set_enabled(false);
+        let _ = pwdb_metrics::take();
         let e = explained("EXPLAIN (insert {a})", &[]);
         assert!(!e.trace.is_empty(), "EXPLAIN must trace even when off");
         // …but the ambient (disabled) ring must stay empty.
-        assert!(pwdb_trace::take().is_empty());
-        assert!(!pwdb_trace::is_enabled());
+        assert!(pwdb_metrics::take().is_empty());
+        assert!(!pwdb_metrics::is_enabled());
+    }
+
+    /// A governor abort unwinds out of `capture`. The ambient enabled
+    /// flag and the ambient ring must come back all the same.
+    #[test]
+    fn capture_restores_ambient_tracing_when_the_closure_unwinds() {
+        use pwdb::logic::governor::step_n;
+        use pwdb::logic::{govern, Budget, Limits};
+        let aborted_capture = || {
+            govern(&Limits::budget(Budget::steps(1)), || {
+                pwdb_metrics::capture(|| step_n(10))
+            })
+        };
+
+        pwdb_metrics::set_enabled(false);
+        let _ = pwdb_metrics::take();
+        assert!(aborted_capture().is_err());
+        assert!(
+            !pwdb_metrics::is_enabled(),
+            "recording enabled after unwinding"
+        );
+
+        pwdb_metrics::set_enabled(true);
+        {
+            let _sp = pwdb_metrics::span!("ambient");
+        }
+        assert!(aborted_capture().is_err());
+        pwdb_metrics::set_enabled(false);
+        assert_eq!(pwdb_metrics::take().names_pre_order(), vec!["ambient"]);
+    }
+
+    /// Reopening a durable database records `Store::open`'s recovery
+    /// span once, beneath the database's own open span.
+    #[test]
+    fn durable_open_records_one_recover_span() {
+        let dir = pwdb::store::TestDir::new("trace-durable-open");
+        {
+            let mut db = ClausalDatabase::open(dir.path()).unwrap();
+            let prog = parse_hlu("(insert {a | b})", db.atoms_mut()).unwrap();
+            db.run(&prog).unwrap();
+        }
+        let (db, trace) = pwdb_metrics::capture(|| ClausalDatabase::open(dir.path()));
+        assert_eq!(db.unwrap().recovery_report().replayed, 1);
+
+        let spans = trace.pre_order();
+        let recover: Vec<_> = spans.iter().filter(|s| s.name == "store.recover").collect();
+        assert_eq!(recover.len(), 1, "{}", trace.render_tree());
+        let parent = spans.iter().find(|s| Some(s.id) == recover[0].parent);
+        assert_eq!(parent.map(|s| s.name), Some("store.durable.open"));
     }
 
     #[test]
@@ -124,7 +173,7 @@ mod with_tracer {
 /// With `--no-default-features` the tracer is compiled out: the same
 /// EXPLAIN statement must still parse, run, and render — just without
 /// spans.
-#[cfg(not(feature = "trace"))]
+#[cfg(not(feature = "metrics"))]
 mod without_tracer {
     use super::*;
 
