@@ -8,7 +8,7 @@ use pwdb::logic::AtomId;
 use pwdb_bench::{fmt_duration, print_table, random_clause_set, rng, time_median};
 
 fn bench_mask_by_letters() {
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
     let mut r = rng(4000);
     let state = random_clause_set(&mut r, 24, 60, 3);
     let mut rows = Vec::new();
@@ -21,7 +21,7 @@ fn bench_mask_by_letters() {
 }
 
 fn bench_mask_by_state() {
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
     let mask: BTreeSet<AtomId> = [AtomId(0), AtomId(1)].into_iter().collect();
     let mut rows = Vec::new();
     for clauses in [32usize, 64, 128, 256] {
@@ -40,8 +40,8 @@ fn bench_mask_optimized() {
     let mask: BTreeSet<AtomId> = (0..4u32).map(AtomId).collect();
     let mut rows = Vec::new();
     for (label, alg) in [
-        ("paper_exact", BluClausal::new()),
-        ("with_subsumption", BluClausal::new().with_reduction(true)),
+        ("paper_exact", BluClausal::paper_exact()),
+        ("with_subsumption", BluClausal::new()),
     ] {
         let (_, d) = time_median(10, || alg.mask_clauses(&state, &mask));
         rows.push(vec![label.to_string(), fmt_duration(d)]);

@@ -10,7 +10,7 @@ use pwdb::logic::{AtomId, AtomTable};
 use pwdb_bench::{fmt_duration, print_table, random_clause_set, rng, time_median};
 
 fn main() {
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
     let mut t = AtomTable::with_indexed_atoms(24);
     let param = pwdb::logic::parse_clause_set("{A1 | A2}", &mut t).unwrap();
     let mask: BTreeSet<AtomId> = [AtomId(0), AtomId(1)].into_iter().collect();

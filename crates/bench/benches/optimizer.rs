@@ -26,7 +26,7 @@ fn main() {
     assert!(stats.size_after < stats.size_before);
 
     let mut r = rng(9000);
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
     let mut env: Env<BluClausal> = Env::new();
     env.bind_state("s0", random_clause_set(&mut r, 16, 24, 3));
     env.bind_state("s1", random_clause_set(&mut r, 16, 12, 3));

@@ -2,7 +2,8 @@
 //! mask-based clausal HLU engine versus the Wilkins auxiliary-letter
 //! engine.
 
-use pwdb::hlu::ClausalDatabase;
+use pwdb::blu::BluClausal;
+use pwdb::hlu::Database;
 use pwdb::logic::Wff;
 use pwdb::wilkins::WilkinsDb;
 use pwdb_bench::{fmt_duration, print_table, random_wff, rng, time_median};
@@ -19,7 +20,7 @@ fn bench_updates() {
     for k in [8usize, 16, 32] {
         let s = script(k);
         let (_, d) = time_median(5, || {
-            let mut db = ClausalDatabase::new();
+            let mut db = Database::with_backend(BluClausal::paper_exact());
             for w in &s {
                 db.insert(w.clone());
             }
@@ -44,7 +45,7 @@ fn bench_query_after_updates() {
     let mut rows = Vec::new();
     for k in [8usize, 32] {
         let s = script(k);
-        let mut hegner = ClausalDatabase::new();
+        let mut hegner = Database::with_backend(BluClausal::paper_exact());
         let mut wilkins = WilkinsDb::new(N_ATOMS);
         for w in &s {
             hegner.insert(w.clone());

@@ -17,7 +17,7 @@ fn main() {
     let mut atoms = AtomTable::with_indexed_atoms(5);
     let phi =
         parse_clause_set("{!A1 | A3, A1 | A4, A4 | A5, !A1 | !A2 | !A5}", &mut atoms).unwrap();
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
 
     println!("== E10  worked examples (3.1.5, 3.2.5) ==");
     println!("system state Φ = {phi}");

@@ -14,7 +14,7 @@ use pwdb::logic::AtomId;
 use pwdb_bench::{fmt_duration, print_table, random_clause_set, rng, time_median};
 
 fn main() {
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
     let mut rows = Vec::new();
     for exp in 4..=9 {
         let n_clauses = 1usize << exp;

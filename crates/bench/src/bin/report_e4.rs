@@ -21,7 +21,7 @@ fn main() {
 }
 
 fn random_workload() {
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
     let mut rows = Vec::new();
     for mask_size in 1..=6usize {
         let mut r = rng(400 + mask_size as u64);
@@ -66,7 +66,7 @@ fn chain_family(p: usize, k: usize) -> (ClauseSet, BTreeSet<AtomId>) {
 }
 
 fn structured_workload() {
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
     let mut rows = Vec::new();
     for p in 1..=5usize {
         let (set, mask) = chain_family(p, 8);

@@ -12,7 +12,8 @@
 //! two-literal disjunctive insertions applied to both engines, then a
 //! batch of certainty queries.
 
-use pwdb::hlu::ClausalDatabase;
+use pwdb::blu::BluClausal;
+use pwdb::hlu::Database;
 use pwdb::logic::Wff;
 use pwdb::wilkins::WilkinsDb;
 use pwdb_bench::{fmt_duration, print_table, random_wff, rng, time};
@@ -37,7 +38,7 @@ fn main() {
         let queries = query_batch(43, 20);
 
         // Hegner (mask-based clausal HLU).
-        let mut hegner = ClausalDatabase::new();
+        let mut hegner = Database::with_backend(BluClausal::paper_exact());
         let (_, hegner_update) = time(|| {
             for w in &script {
                 hegner.insert(w.clone());

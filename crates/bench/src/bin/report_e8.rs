@@ -14,12 +14,10 @@ fn main() {
     let mut rows = Vec::new();
 
     for (label, alg) in [
-        ("paper-exact", BluClausal::new()),
+        ("paper-exact", BluClausal::paper_exact()),
         (
             "optimized",
-            BluClausal::new()
-                .with_reduction(true)
-                .with_genmask(GenmaskStrategy::SatBased),
+            BluClausal::new().with_genmask(GenmaskStrategy::SatBased),
         ),
     ] {
         // Exhaustive, n = 2 and 3.

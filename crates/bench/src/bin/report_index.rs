@@ -118,7 +118,7 @@ fn sections() -> Vec<Section> {
     // The states a reduced-backend HLU script normalizes (Tison closures).
     let mut hlu = Vec::new();
     let mut r = rng(7500);
-    let mut db = ClausalDatabase::new_reduced();
+    let mut db = ClausalDatabase::new();
     for i in 0..12 {
         db.insert(random_wff(&mut r, 10, 1));
         if i % 3 == 2 {

@@ -5,14 +5,14 @@
 use std::collections::BTreeSet;
 
 use pwdb::blu::{BluClausal, BluSemantics, GenmaskStrategy};
-use pwdb::hlu::ClausalDatabase;
+use pwdb::hlu::Database;
 use pwdb::logic::{AtomId, Clause, ClauseSet, Literal};
 
 use crate::{random_clause_set, random_wff, rng};
 
 /// E1 (Theorem 2.3.4(b)): `assert` over growing clause sets.
 pub fn e1_assert() {
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
     for exp in [8u32, 10, 12] {
         let clauses = 1usize << exp;
         let mut r = rng(exp as u64);
@@ -24,7 +24,7 @@ pub fn e1_assert() {
 
 /// E2 (Theorem 2.3.4(b)): `combine` — cost tracks the L1×L2 product.
 pub fn e2_combine() {
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
     for exp in [4u32, 5, 6, 7] {
         let clauses = 1usize << exp;
         let mut r = rng(100 + exp as u64);
@@ -37,7 +37,7 @@ pub fn e2_combine() {
 /// E3 (Theorem 2.3.4(b)): `complement` of k disjoint width-3 clauses
 /// yields 3^k output clauses.
 pub fn e3_complement() {
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
     for k in [4usize, 6, 8] {
         let mut set = ClauseSet::new();
         for i in 0..k {
@@ -54,7 +54,7 @@ pub fn e3_complement() {
 
 /// E4 (Theorem 2.3.6(b)): `mask` by letter count and by state size.
 pub fn e4_mask() {
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
     let mut r = rng(4000);
     let state = random_clause_set(&mut r, 24, 60, 3);
     for p in [1usize, 2, 4, 6] {
@@ -72,8 +72,8 @@ pub fn e4_mask() {
 /// E5 (Theorem 2.3.9(b)): both `genmask` strategies; the SAT-based one
 /// drives the DPLL solver, so this section also produces `logic.dpll.*`.
 pub fn e5_genmask() {
-    let paper = BluClausal::new().with_genmask(GenmaskStrategy::PaperExhaustive);
-    let sat = BluClausal::new().with_genmask(GenmaskStrategy::SatBased);
+    let paper = BluClausal::paper_exact().with_genmask(GenmaskStrategy::PaperExhaustive);
+    let sat = BluClausal::paper_exact().with_genmask(GenmaskStrategy::SatBased);
     for n in [6usize, 8, 10] {
         let mut r = rng(5000 + n as u64);
         let set = random_clause_set(&mut r, n, n * 2, 3);
@@ -87,7 +87,7 @@ pub fn e5_genmask() {
 pub fn hlu_script() {
     const N_ATOMS: usize = 12;
     let mut r = rng(6000);
-    let mut db = ClausalDatabase::new();
+    let mut db = Database::with_backend(BluClausal::paper_exact());
     for _ in 0..16 {
         db.insert(random_wff(&mut r, N_ATOMS, 1));
     }

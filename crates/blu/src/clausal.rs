@@ -7,12 +7,14 @@
 //! improvements are exactly the "correctness-preserving optimizations"
 //! §4 alludes to (tautology elimination and subsumption reduction).
 //!
-//! The reduced algebra ([`BluClausal::with_reduction`]) returns the
-//! subsumption-minimal form of each paper-exact output. Its `combine` is
-//! one kernel, [`BluClausal::combine_reduced`], that never forms the
-//! products a shared or subsuming operand clause already covers; its
-//! `mask` reduces after each fused elimination step
-//! ([`BluClausal::mask_step`]).
+//! [`BluClausal::new`] is the production algebra: the reduced BLU-C,
+//! which returns the subsumption-minimal form of each paper-exact
+//! output. Its `combine` is one kernel, [`BluClausal::combine_reduced`],
+//! that never forms the products a shared or subsuming operand clause
+//! already covers; its `mask` reduces after each fused elimination step
+//! ([`BluClausal::mask_step`]). [`BluClausal::paper_exact`] keeps the
+//! output shapes of Algorithms 2.3.3 and 2.3.5 as written, as the test
+//! oracle the reduced algebra is checked against.
 //!
 //! Complexity (Theorems 2.3.4(b), 2.3.6(b), 2.3.9(b)) — reproduced by the
 //! `pwdb-bench` experiments E1–E5:
@@ -70,17 +72,27 @@ pub enum GenmaskStrategy {
 #[derive(Debug, Clone, Default)]
 pub struct BluClausal {
     genmask_strategy: GenmaskStrategy,
-    /// Return subsumption-reduced outputs: `combine` through
-    /// [`BluClausal::combine_reduced`], a reduction sweep after
-    /// `complement` and after each `mask` elimination step. Off by default
-    /// (paper-exact shapes).
-    reduce: bool,
+    /// Return the paper-exact output shapes. Off by default: `combine`
+    /// runs through [`BluClausal::combine_reduced`], and a reduction sweep
+    /// follows `complement` and each `mask` elimination step.
+    paper_exact: bool,
 }
 
 impl BluClausal {
-    /// Paper-exact algebra (tautologies dropped, no further reduction).
+    /// The production algebra: subsumption-reduced outputs, the
+    /// "correctness-preserving optimizations" of §4.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The paper-exact algebra (tautologies dropped, no further
+    /// reduction): the output shapes of Algorithms 2.3.3 and 2.3.5 as
+    /// written, kept as the oracle for the reduced one.
+    pub fn paper_exact() -> Self {
+        BluClausal {
+            paper_exact: true,
+            ..Self::default()
+        }
     }
 
     /// Selects the genmask strategy.
@@ -89,14 +101,8 @@ impl BluClausal {
         self
     }
 
-    /// Enables subsumption reduction (the optimized variant).
-    pub fn with_reduction(mut self, reduce: bool) -> Self {
-        self.reduce = reduce;
-        self
-    }
-
     fn maybe_reduce(&self, mut set: ClauseSet) -> ClauseSet {
-        if self.reduce {
+        if !self.paper_exact {
             set.reduce_subsumed();
         }
         set
@@ -368,16 +374,13 @@ impl BluSemantics for BluClausal {
             "cost" => x.length() + y.length(), // Θ(L₁+L₂), Thm 2.3.4(b)
         );
         let out = Self::assert_clauses(x, y);
-        // State-mutating primitive: report so the memo caches can enforce
-        // their bounds (keys are pure, so this is memory, not staleness).
-        pwdb_logic::cache::note_state_change();
         p.attr("out_clauses", out.len());
         p.finish(out.length());
         out
     }
 
     // `blu.combine.products` adds the Θ(L₁×L₂) bound term of the inputs,
-    // not the pairs formed: with reduction on, `combine_reduced` forms
+    // not the pairs formed: in the reduced algebra, `combine_reduced` forms
     // only the products of the clauses no operand clause subsumes.
     fn op_combine(&self, x: &ClauseSet, y: &ClauseSet) -> ClauseSet {
         counter!("blu.combine.in_length").add((x.length() + y.length()) as u64);
@@ -390,12 +393,11 @@ impl BluSemantics for BluClausal {
             "in_clauses" => x.len() + y.len(),
             "cost" => x.length() * y.length(), // Θ(L₁×L₂), Thm 2.3.4(b)
         );
-        let out = if self.reduce {
-            Self::combine_reduced(x, y)
-        } else {
+        let out = if self.paper_exact {
             Self::combine_clauses(x, y)
+        } else {
+            Self::combine_reduced(x, y)
         };
-        pwdb_logic::cache::note_state_change();
         p.attr("out_clauses", out.len());
         p.finish(out.length());
         out
@@ -581,7 +583,7 @@ mod tests {
         let mut t = t8();
         let phi =
             parse_clause_set("{!A1 | A3, A1 | A4, A4 | A5, !A1 | !A2 | !A5}", &mut t).unwrap();
-        let alg = BluClausal::new();
+        let alg = BluClausal::paper_exact();
         let mask = BTreeSet::from([AtomId(0), AtomId(1)]);
         let masked = alg.mask_clauses(&phi, &mask);
         let expected = parse_clause_set("{A4 | A5, A3 | A4}", &mut t).unwrap();
@@ -592,7 +594,7 @@ mod tests {
     fn mask_of_unconstrained_atom_just_drops() {
         let mut t = t8();
         let phi = parse_clause_set("{A1 | A2, A3}", &mut t).unwrap();
-        let alg = BluClausal::new();
+        let alg = BluClausal::paper_exact();
         let masked = alg.mask_clauses(&phi, &BTreeSet::from([AtomId(2)]));
         let expected = parse_clause_set("{A1 | A2}", &mut t).unwrap();
         assert_eq!(masked, expected);
@@ -703,8 +705,8 @@ mod tests {
         let mut t = t8();
         let a = parse_clause_set("{A1, A1 | A2}", &mut t).unwrap();
         let b = parse_clause_set("{A3, A3 | A4}", &mut t).unwrap();
-        let plain = BluClausal::new();
-        let reduced = BluClausal::new().with_reduction(true);
+        let plain = BluClausal::paper_exact();
+        let reduced = BluClausal::new();
         let c_plain = plain.op_combine(&a, &b);
         let c_red = reduced.op_combine(&a, &b);
         assert!(c_red.len() <= c_plain.len());
@@ -721,7 +723,7 @@ mod tests {
         let phi =
             parse_clause_set("{!A1 | A3, A1 | A4, A4 | A5, !A1 | !A2 | !A5}", &mut t).unwrap();
         let param = parse_clause_set("{A1 | A2}", &mut t).unwrap();
-        let alg = BluClausal::new();
+        let alg = BluClausal::paper_exact();
         let gm = alg.op_genmask(&param);
         assert_eq!(gm, BTreeSet::from([AtomId(0), AtomId(1)]));
         let masked = alg.op_mask(&phi, &gm);

@@ -210,27 +210,34 @@ mod tests {
         let phi =
             parse_clause_set("{!A1 | A3, A1 | A4, A4 | A5, !A1 | !A2 | !A5}", &mut t).unwrap();
         let param = parse_clause_set("{A1 | A2}", &mut t).unwrap();
-        let report = check_states(&BluClausal::new(), 5, &phi, &param, &BTreeSet::new());
+        let report = check_states(
+            &BluClausal::paper_exact(),
+            5,
+            &phi,
+            &param,
+            &BTreeSet::new(),
+        );
         assert!(report.all_ok(), "{:?}", report.failures);
         assert_eq!(report.checked, 5);
     }
 
     #[test]
     fn exhaustive_two_atoms_all_ok() {
-        let report = check_exhaustive_small(2, &BluClausal::new());
+        let report = check_exhaustive_small(2, &BluClausal::paper_exact());
         assert!(report.all_ok(), "{:?}", report.failures);
         assert!(report.checked > 500);
     }
 
     #[test]
-    fn exhaustive_two_atoms_with_reduction() {
-        let report = check_exhaustive_small(2, &BluClausal::new().with_reduction(true));
+    fn exhaustive_two_atoms_reduced() {
+        let report = check_exhaustive_small(2, &BluClausal::new());
         assert!(report.all_ok(), "{:?}", report.failures);
     }
 
     #[test]
     fn exhaustive_three_atoms_sat_genmask() {
-        let clausal = BluClausal::new().with_genmask(crate::clausal::GenmaskStrategy::SatBased);
+        let clausal =
+            BluClausal::paper_exact().with_genmask(crate::clausal::GenmaskStrategy::SatBased);
         let report = check_exhaustive_small(3, &clausal);
         assert!(report.all_ok(), "{:?}", report.failures);
     }
@@ -241,7 +248,7 @@ mod tests {
         let x = parse_clause_set("{A1 | A2, !A2 | A3}", &mut t).unwrap();
         let y = parse_clause_set("{A3}", &mut t).unwrap();
         let extra = BTreeSet::from([AtomId(0), AtomId(1)]);
-        let report = check_states(&BluClausal::new(), 3, &x, &y, &extra);
+        let report = check_states(&BluClausal::paper_exact(), 3, &x, &y, &extra);
         assert!(report.all_ok(), "{:?}", report.failures);
     }
 

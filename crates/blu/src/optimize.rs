@@ -2,10 +2,11 @@
 //!
 //! §4 of the paper mentions that its Lisp implementation employs "a
 //! number of correctness-preserving optimizations". At the clause level
-//! those are normalizations (tautology elimination, subsumption — see
-//! [`crate::clausal::BluClausal::with_reduction`]); this module adds the
-//! *program-level* counterpart: rewriting BLU terms under the equations
-//! that hold in the instance algebra **BLU-I** for every state valuation.
+//! those are normalizations (tautology elimination, subsumption — the
+//! reduced algebra of [`crate::clausal::BluClausal::new`]); this module
+//! adds the *program-level* counterpart: rewriting BLU terms under the
+//! equations that hold in the instance algebra **BLU-I** for every state
+//! valuation.
 //!
 //! The rewrite system (applied bottom-up to a fixpoint):
 //!

@@ -133,16 +133,14 @@ pub type InstanceDatabase = Database<BluInstance>;
 
 impl ClausalDatabase {
     /// A clausal database with no information and no constraints,
-    /// running the paper-exact algorithms.
+    /// running the production algebra [`BluClausal::new`].
     pub fn new() -> Self {
         Database::with_backend(BluClausal::new())
     }
 
-    /// A clausal database whose operators apply subsumption reduction —
-    /// the "correctness-preserving optimizations" of §4. Same semantics
-    /// (emulation checked), smaller states after `where`-style combines.
+    /// The same database as [`ClausalDatabase::new`].
     pub fn new_reduced() -> Self {
-        Database::with_backend(BluClausal::new().with_reduction(true))
+        Self::new()
     }
 }
 
@@ -756,8 +754,8 @@ mod tests {
             HluProgram::where1(wff(3, "A3"), HluProgram::Insert(wff(3, "A1"))),
             HluProgram::Delete(wff(3, "A2")),
         ];
-        let mut plain = ClausalDatabase::new();
-        let mut reduced = ClausalDatabase::new_reduced();
+        let mut plain = Database::with_backend(BluClausal::paper_exact());
+        let mut reduced = ClausalDatabase::new();
         for p in &script {
             plain.run(p);
             reduced.run(p);

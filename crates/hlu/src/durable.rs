@@ -61,6 +61,9 @@ pub enum DurableError {
     /// The store is in degraded read-only mode after persistent write
     /// failures: queries are still answered, updates are refused.
     ReadOnly { reason: String },
+    /// [`DurableDatabase::open_with`] was handed a database that has
+    /// already run updates, whose state the log cannot account for.
+    NotFresh { updates_run: usize },
 }
 
 impl fmt::Display for DurableError {
@@ -73,6 +76,9 @@ impl fmt::Display for DurableError {
             DurableError::Exec(e) => e.fmt(f),
             DurableError::ReadOnly { reason } => {
                 write!(f, "store is read-only (degraded): {reason}")
+            }
+            DurableError::NotFresh { updates_run } => {
+                write!(f, "database not fresh: {updates_run} updates run")
             }
         }
     }
@@ -145,26 +151,31 @@ pub struct DurableDatabase {
 impl ClausalDatabase {
     /// Opens (creating if needed) a durable database in `dir`, running
     /// crash recovery: newest valid snapshot + replay of the log suffix,
-    /// with torn tails truncated. Uses the paper-exact algebra; see
-    /// [`DurableDatabase::open_with`] to open with a configured backend.
+    /// with torn tails truncated. Uses the production algebra of
+    /// [`ClausalDatabase::new`]; see [`DurableDatabase::open_with`] to
+    /// open with a configured backend.
     pub fn open(dir: &Path) -> Result<DurableDatabase, DurableError> {
         DurableDatabase::open_with(ClausalDatabase::new(), dir)
     }
 }
 
 impl DurableDatabase {
-    /// Opens `dir` with an explicitly configured (but fresh — zero
-    /// updates run) database, e.g. `ClausalDatabase::new_reduced()`. The
-    /// configuration must match the one that wrote the directory:
-    /// recovery replays statements through *this* backend, and the algebra
-    /// (reduced vs paper-exact) is part of the state machine.
+    /// Opens `dir` with a configured database, which must be fresh (no
+    /// updates run) or this returns [`DurableError::NotFresh`].
+    ///
+    /// Recovery loads the snapshot as written and replays the log suffix
+    /// through *this* backend. The algebras differ in clause shapes, not
+    /// in models, so a directory written under one (for example
+    /// `BluClausal::paper_exact()`, which `ClausalDatabase::open` used
+    /// before the reduced default) reopens under another to an equivalent
+    /// state with the identical history; only the writer's algebra
+    /// reproduces it bit for bit.
     pub fn open_with(db: ClausalDatabase, dir: &Path) -> Result<DurableDatabase, DurableError> {
-        assert_eq!(
-            db.updates_run(),
-            0,
-            "open_with requires a fresh database (its state must be \
-             derivable from the log alone)"
-        );
+        if db.updates_run() != 0 {
+            return Err(DurableError::NotFresh {
+                updates_run: db.updates_run(),
+            });
+        }
         let _sp = pwdb_metrics::span!("store.durable.open");
         let (store, recovery) = Store::open(dir)?;
 

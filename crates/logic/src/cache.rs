@@ -9,9 +9,8 @@
 //! staleness is impossible by construction: a changed state is a
 //! different key. Invalidation therefore exists for *memory*, not for
 //! correctness — caches are bounded ([`MemoCache::new`]'s capacity) and
-//! flushed wholesale when full, and state-mutating operators
-//! (`assert`/`combine`) report through [`note_state_change`], which
-//! drives the same bounded eviction. The metamorphic tests
+//! flushed wholesale by the insert that would exceed it, so no operator
+//! has to report its state changes. The metamorphic tests
 //! (`tests/cache_metamorphic.rs`) pin the soundness claim: interleaved
 //! updates with caching on answer exactly like a cache-cleared run.
 //!
@@ -24,7 +23,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use pwdb_metrics::{counter, Counter};
+use pwdb_metrics::Counter;
 
 /// A point-in-time view of one cache, for the shell's `:cache` command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,8 +46,6 @@ pub trait CacheControl: Sync + Send {
     fn stats(&self) -> CacheStats;
     /// Drops every entry (counted as an invalidation).
     fn clear(&self);
-    /// Flushes if the entry count exceeds the capacity bound.
-    fn enforce_cap(&self);
 }
 
 fn registry() -> &'static Mutex<Vec<&'static dyn CacheControl>> {
@@ -80,17 +77,6 @@ pub fn all_stats() -> Vec<CacheStats> {
 pub fn clear_all() {
     for c in registry().lock().unwrap_or_else(|e| e.into_inner()).iter() {
         c.clear();
-    }
-}
-
-/// The explicit invalidation hook: state-mutating operators
-/// (`assert`/`combine`) call this after producing a new state. Keys are
-/// pure, so nothing can go stale — the hook bounds memory by enforcing
-/// each cache's capacity, and counts mutations for observability.
-pub fn note_state_change() {
-    counter!("logic.cache.state_mutations").inc();
-    for c in registry().lock().unwrap_or_else(|e| e.into_inner()).iter() {
-        c.enforce_cap();
     }
 }
 
@@ -175,14 +161,6 @@ impl<K: Eq + Hash + Send, V: Clone + Send> CacheControl for MemoCache<K, V> {
     fn clear(&self) {
         self.map.lock().unwrap_or_else(|e| e.into_inner()).clear();
         self.invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn enforce_cap(&self) {
-        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        if map.len() > self.cap {
-            map.clear();
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 

@@ -262,7 +262,7 @@ pub fn step() {
 /// Charges `n` steps against the installed budget (no-op when
 /// ungoverned). Aborts the governed section via unwinding when the step
 /// budget is exhausted; polls the wall clock and the cancel token every
-/// [`POLL_INTERVAL`] steps.
+/// 4096 steps.
 #[inline]
 pub fn step_n(n: u64) {
     if ACTIVE.with(Cell::get) {

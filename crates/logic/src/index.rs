@@ -20,7 +20,7 @@
 //! Removal marks a slot dead and leaves the occurrence lists lazily
 //! stale; lists are compacted when dead entries dominate. The engine
 //! entry points (`reduce_subsumed`, `merge_with_subsumption`, `saturate`,
-//! `prime_implicates`) build an index per closure — O(Length[Φ]) — and
+//! `prime_implicates`) build an index per closure — O(`Length[Φ]`) — and
 //! amortize it across the whole sweep.
 
 use std::collections::HashMap;

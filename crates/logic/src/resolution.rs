@@ -84,7 +84,7 @@ pub fn drop_atoms(set: &ClauseSet, atoms: &BTreeSet<AtomId>) -> ClauseSet {
 /// The fixpoint is canonical — the subsumption-minimal elements of the
 /// resolution closure — so the round-based oracle
 /// ([`crate::reference::saturate`]) and the indexed worklist
-/// ([`saturate_indexed`]) return bit-identical sets; only the number of
+/// (`saturate_indexed`) return bit-identical sets; only the number of
 /// resolvent pairs tried (`logic.resolution.pairs_tried`) differs.
 pub fn saturate(set: &ClauseSet) -> ClauseSet {
     let sp = span!("logic.resolution.saturate", "clauses_in" => set.len());

@@ -129,8 +129,8 @@ fn inset_cache_answers_stay_fresh() {
 }
 
 /// The genmask memo actually memoizes: a repeated call on the same state
-/// registers as a hit, and mutating primitives bump the state-change
-/// counter the registry uses to bound the caches.
+/// registers as a hit, and a mutating primitive run between the calls
+/// does not disturb it.
 #[test]
 fn cache_stats_reflect_hits_and_state_changes() {
     let _guard = lock_caches();
@@ -139,7 +139,7 @@ fn cache_stats_reflect_hits_and_state_changes() {
     let mut rng = Rng::new(0xCAC3);
     let x = testgen::clause_set(&mut rng, N_ATOMS, 4, 3);
     let y = testgen::clause_set(&mut rng, N_ATOMS, 3, 3);
-    let _ = alg.op_assert(&x, &y); // state mutation, reported
+    let _ = alg.op_assert(&x, &y); // state mutation
     let _ = alg.op_genmask(&x); // miss
     let _ = alg.op_genmask(&x); // hit
     let stats = cache::all_stats();

@@ -32,7 +32,7 @@ fn paper_exact_algebra_emulates() {
         let x = arb_clause_set(&mut rng, 4);
         let y = arb_clause_set(&mut rng, 3);
         let extra = arb_mask(&mut rng);
-        let report = check_states(&BluClausal::new(), N_ATOMS, &x, &y, &extra);
+        let report = check_states(&BluClausal::paper_exact(), N_ATOMS, &x, &y, &extra);
         assert!(report.all_ok(), "failures: {:?}", report.failures);
     }
 }
@@ -44,9 +44,7 @@ fn optimized_algebra_emulates() {
         let x = arb_clause_set(&mut rng, 4);
         let y = arb_clause_set(&mut rng, 3);
         let extra = arb_mask(&mut rng);
-        let alg = BluClausal::new()
-            .with_reduction(true)
-            .with_genmask(GenmaskStrategy::SatBased);
+        let alg = BluClausal::new().with_genmask(GenmaskStrategy::SatBased);
         let report = check_states(&alg, N_ATOMS, &x, &y, &extra);
         assert!(report.all_ok(), "failures: {:?}", report.failures);
     }
@@ -84,7 +82,7 @@ fn mask_is_resolution_forgetting() {
     for _ in 0..CASES {
         let phi = arb_clause_set(&mut rng, 5);
         let m = arb_mask(&mut rng);
-        let alg = BluClausal::new();
+        let alg = BluClausal::paper_exact();
         let clausal = clause_state_to_worlds(N_ATOMS, &alg.op_mask(&phi, &m));
         let atoms: Vec<AtomId> = m.iter().copied().collect();
         let semantic = WorldSet::from_clauses(N_ATOMS, &phi).saturate_all(&atoms);
@@ -97,7 +95,7 @@ fn complement_is_involutive_semantically() {
     let mut rng = Rng::new(0xE306);
     for _ in 0..CASES {
         let phi = arb_clause_set(&mut rng, 4);
-        let alg = BluClausal::new();
+        let alg = BluClausal::paper_exact();
         let twice = alg.op_complement(&alg.op_complement(&phi));
         assert_eq!(
             clause_state_to_worlds(N_ATOMS, &twice),

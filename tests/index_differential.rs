@@ -112,8 +112,8 @@ fn blu_primitives_agree() {
         engine_agrees(&format!("primitives #{case} operand x"), &x, &y);
         engine_agrees(&format!("primitives #{case} operand y"), &y, &x);
         for (name, alg) in [
-            ("reduced", BluClausal::new().with_reduction(true)),
-            ("exact", BluClausal::new()),
+            ("reduced", BluClausal::new()),
+            ("exact", BluClausal::paper_exact()),
         ] {
             let outputs = [
                 ("assert", alg.op_assert(&x, &y)),
@@ -130,9 +130,7 @@ fn blu_primitives_agree() {
             .into_iter()
             .collect();
         for strategy in [GenmaskStrategy::PaperExhaustive, GenmaskStrategy::SatBased] {
-            let alg = BluClausal::new()
-                .with_reduction(true)
-                .with_genmask(strategy);
+            let alg = BluClausal::new().with_genmask(strategy);
             assert_eq!(
                 alg.op_genmask(&y),
                 dep,
@@ -288,7 +286,7 @@ fn hlu_scripts_agree() {
             .collect();
         let queries: Vec<_> = (0..3).map(|_| testgen::wff(&mut rng, N_ATOMS, 2)).collect();
 
-        let mut db = ClausalDatabase::new_reduced();
+        let mut db = ClausalDatabase::new();
         let mut instance = InstanceDatabase::with_atoms(N_ATOMS);
         for (i, prog) in script.iter().enumerate() {
             let before = db.state().clone();
@@ -338,7 +336,7 @@ fn emulation_theorems_hold_under_both_engines() {
         let x = testgen::clause_set(&mut rng, N_ATOMS, 4, 4);
         let y = testgen::clause_set(&mut rng, N_ATOMS, 3, 3);
         let extra: BTreeSet<_> = testgen::mask(&mut rng, N_ATOMS, 2);
-        let alg = BluClausal::new().with_reduction(true);
+        let alg = BluClausal::new();
         let report = check_states(&alg, N_ATOMS, &x, &y, &extra);
         assert!(report.all_ok(), "case {case}: {:?}", report.failures);
     }

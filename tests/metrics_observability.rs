@@ -8,7 +8,7 @@
 use std::collections::BTreeSet;
 
 use pwdb::blu::{BluClausal, BluSemantics, GenmaskStrategy};
-use pwdb::hlu::ClausalDatabase;
+use pwdb::hlu::Database;
 use pwdb::logic::{AtomId, Rng};
 use pwdb_metrics::MetricsSnapshot;
 use pwdb_suite::testgen;
@@ -29,7 +29,7 @@ fn blu_primitives_bump_their_counters() {
     let y = testgen::clause_set(&mut rng, 6, 4, 3);
     let mask: BTreeSet<AtomId> = [AtomId(0), AtomId(2)].into_iter().collect();
 
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
     let d = delta_of(|| {
         std::hint::black_box(alg.op_assert(&x, &y));
         std::hint::black_box(alg.op_combine(&x, &y));
@@ -63,7 +63,7 @@ fn blu_primitives_bump_their_counters() {
 #[test]
 fn sat_genmask_drives_the_dpll_counters() {
     let mut rng = Rng::new(0x0B5E_0002);
-    let alg = BluClausal::new().with_genmask(GenmaskStrategy::SatBased);
+    let alg = BluClausal::paper_exact().with_genmask(GenmaskStrategy::SatBased);
     let d = delta_of(|| {
         for _ in 0..4 {
             let phi = testgen::clause_set(&mut rng, 7, 8, 3);
@@ -80,7 +80,7 @@ fn sat_genmask_drives_the_dpll_counters() {
 #[test]
 fn hlu_database_bumps_statement_and_query_counters() {
     let mut rng = Rng::new(0x0B5E_0003);
-    let mut db = ClausalDatabase::new();
+    let mut db = Database::with_backend(BluClausal::paper_exact());
     let d = delta_of(|| {
         for _ in 0..6 {
             db.insert(testgen::literal_disjunction(&mut rng, 8));
@@ -102,7 +102,7 @@ fn hlu_database_bumps_statement_and_query_counters() {
 #[test]
 fn counters_are_monotone_across_snapshots() {
     let mut rng = Rng::new(0x0B5E_0004);
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
     let s1 = pwdb_metrics::snapshot();
     let x = testgen::clause_set(&mut rng, 6, 5, 3);
     let y = testgen::clause_set(&mut rng, 6, 5, 3);
@@ -120,7 +120,7 @@ fn counters_are_monotone_across_snapshots() {
 #[test]
 fn live_snapshot_round_trips_through_json() {
     let mut rng = Rng::new(0x0B5E_0005);
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
     let x = testgen::clause_set(&mut rng, 6, 6, 3);
     std::hint::black_box(alg.op_complement(&x));
     std::hint::black_box(alg.op_genmask(&x));

@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 
 use pwdb::blu::{BluClausal, BluSemantics};
-use pwdb::hlu::{parse_hlu, ClausalDatabase, InstanceDatabase};
+use pwdb::hlu::{parse_hlu, Database, InstanceDatabase};
 use pwdb::logic::{parse_clause_set, parse_wff, AtomId, AtomTable};
 use pwdb::worlds::{inset, relevant_atoms, WorldSet};
 
@@ -17,7 +17,7 @@ fn example_3_1_5_clause_level_insert() {
     let mut t = atoms5();
     let phi = parse_clause_set("{!A1 | A3, A1 | A4, A4 | A5, !A1 | !A2 | !A5}", &mut t).unwrap();
     let param = parse_clause_set("{A1 | A2}", &mut t).unwrap();
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
 
     // (genmask '{A1 ∨ A2}) = {A1, A2}
     let gm = alg.op_genmask(&param);
@@ -40,7 +40,7 @@ fn example_3_2_5_where_insert() {
     let phi = parse_clause_set("{!A1 | A3, A1 | A4, A4 | A5, !A1 | !A2 | !A5}", &mut t).unwrap();
 
     // Run the full program through the clausal database.
-    let mut db = ClausalDatabase::new();
+    let mut db = Database::with_backend(BluClausal::paper_exact());
     db.set_state(phi.clone());
     let prog = parse_hlu("(where {A5} (insert {A1 | A2}))", &mut t).unwrap();
     db.run(&prog);
@@ -52,7 +52,7 @@ fn example_3_2_5_where_insert() {
     assert_eq!(&WorldSet::from_clauses(5, db.state()), reference.state());
 
     // The then-branch state of the worked example.
-    let alg = BluClausal::new();
+    let alg = BluClausal::paper_exact();
     let a5 = parse_clause_set("{A5}", &mut t).unwrap();
     let param = parse_clause_set("{A1 | A2}", &mut t).unwrap();
     let gm = alg.op_genmask(&param);

@@ -36,7 +36,7 @@ fn run_both(term: &STerm, wffs: &[Wff; 3], mask_atoms: &[u32]) -> (ClauseSet, Wo
     let names = ["s0", "s1", "s2"];
     let mask: std::collections::BTreeSet<AtomId> = mask_atoms.iter().map(|&a| AtomId(a)).collect();
 
-    let clausal = BluClausal::new();
+    let clausal = BluClausal::paper_exact();
     let mut cenv: Env<BluClausal> = Env::new();
     for (name, w) in names.iter().zip(wffs) {
         cenv.bind_state(name, cnf_of(w));
@@ -112,10 +112,8 @@ fn algebra_variants_agree_on_programs() {
         ];
         let names = ["s0", "s1", "s2"];
 
-        let exact = BluClausal::new();
-        let tuned = BluClausal::new()
-            .with_reduction(true)
-            .with_genmask(GenmaskStrategy::SatBased);
+        let exact = BluClausal::paper_exact();
+        let tuned = BluClausal::new().with_genmask(GenmaskStrategy::SatBased);
         let mut env_a: Env<BluClausal> = Env::new();
         let mut env_b: Env<BluClausal> = Env::new();
         for (name, w) in names.iter().zip(&wffs) {
