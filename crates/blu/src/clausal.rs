@@ -32,7 +32,7 @@ use std::sync::OnceLock;
 
 use pwdb_logic::cache::MemoCache;
 use pwdb_logic::governor;
-use pwdb_logic::index::signature;
+use pwdb_logic::index::{signature, SubsumerIndex};
 use pwdb_logic::resolution::resolvent;
 use pwdb_logic::{AtomId, Clause, ClauseSet, IndexedClauseSet, Literal};
 use pwdb_metrics::{counter, probe, span};
@@ -154,16 +154,17 @@ impl BluClausal {
     /// clause collapses (`φ ∨ φ = φ`), so only the touched clauses form
     /// products.
     ///
-    /// Two passes: index each operand once and split it, against the
-    /// other operand's index, into collapsed and remaining clauses; then
-    /// stream the collapsed clauses and the remaining × remaining products
-    /// through one subsumption-processed output index. Each pair formed
+    /// Two passes: index each operand once, by reference, and split it,
+    /// against the other operand's index, into collapsed and remaining
+    /// clauses; then stream the collapsed clauses and the remaining ×
+    /// remaining products through one subsumption-processed output
+    /// index. Each pair formed
     /// charges the governor as in [`Self::combine_clauses`]; the output
     /// index charges its inserts and checks the live-clause budget as it
     /// grows.
     pub fn combine_reduced(phi1: &ClauseSet, phi2: &ClauseSet) -> ClauseSet {
-        let index1 = IndexedClauseSet::from_set(phi1);
-        let index2 = IndexedClauseSet::from_set(phi2);
+        let index1 = SubsumerIndex::from_set(phi1);
+        let index2 = SubsumerIndex::from_set(phi2);
         let mut out = IndexedClauseSet::new();
         let rest1 = split_collapsed(phi1, &index2, &mut out);
         let rest2 = split_collapsed(phi2, &index1, &mut out);
@@ -238,8 +239,12 @@ impl BluClausal {
 
     /// `mask(Φ, P)`: eliminates each letter of `P` in turn.
     pub fn mask_clauses(&self, phi: &ClauseSet, mask: &BTreeSet<AtomId>) -> ClauseSet {
-        let mut out = phi.clone();
-        for &a in mask {
+        let mut letters = mask.iter();
+        let Some(&first) = letters.next() else {
+            return phi.clone();
+        };
+        let mut out = self.maybe_reduce(Self::mask_step(phi, first));
+        for &a in letters {
             out = self.maybe_reduce(Self::mask_step(&out, a));
         }
         out
@@ -471,7 +476,7 @@ impl BluSemantics for BluClausal {
 /// pass.
 fn split_collapsed<'a>(
     phi: &'a ClauseSet,
-    other: &IndexedClauseSet,
+    other: &SubsumerIndex,
     out: &mut IndexedClauseSet,
 ) -> Vec<&'a Clause> {
     let mut rest = Vec::new();

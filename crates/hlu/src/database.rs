@@ -18,9 +18,13 @@
 use std::collections::BTreeSet;
 
 use pwdb_blu::{run_program, BluClausal, BluInstance, BluSemantics, Value};
-use pwdb_logic::{cnf_of, governor, AtomId, ClauseSet, ExecError, Limits, LogicError, Wff};
+use pwdb_logic::{
+    cnf_of, governor, AtomId, ClauseSet, ExecError, Limits, LogicError, QueryOracle, Wff,
+};
 use pwdb_metrics::{counter, probe};
 use pwdb_worlds::{Schema, WorldSet};
+
+use current::Current;
 
 use crate::ast::HluProgram;
 use crate::compile::{compile, ArgValue};
@@ -34,10 +38,17 @@ pub trait HluBackend: BluSemantics {
     fn lower_mask(&self, atoms: &BTreeSet<AtomId>) -> Self::Mask;
     /// The no-information initial state (all legal worlds possible).
     fn top(&self) -> Self::State;
-    /// Whether `wff` holds in every possible world of `state`.
-    fn certain(&self, state: &Self::State, wff: &Wff) -> bool;
-    /// Whether the state has at least one possible world.
-    fn consistent(&self, state: &Self::State) -> bool;
+    /// What a [`Database`] keeps beside one state version to answer
+    /// queries about it faster. The database replaces it with a fresh
+    /// default whenever its state changes, so it is only ever used with
+    /// the state it was first used with.
+    type Oracle: Default + Clone + std::fmt::Debug;
+    /// Whether `wff` holds in every possible world of `state`, using
+    /// `state`'s oracle.
+    fn certain(&self, state: &Self::State, oracle: &Self::Oracle, wff: &Wff) -> bool;
+    /// Whether the state has at least one possible world, using its
+    /// oracle.
+    fn consistent(&self, state: &Self::State, oracle: &Self::Oracle) -> bool;
     /// Number of possible worlds of the state over a universe of
     /// `n_atoms` atoms. Panics when the count does not fit a `u64`
     /// (an unconstrained 64-atom universe); [`HluBackend::try_world_count`]
@@ -62,12 +73,15 @@ impl HluBackend for BluClausal {
         ClauseSet::new()
     }
 
-    fn certain(&self, state: &ClauseSet, wff: &Wff) -> bool {
-        pwdb_logic::entails(state, wff)
+    /// One solver per state version and the first model it finds.
+    type Oracle = QueryOracle;
+
+    fn certain(&self, state: &ClauseSet, oracle: &QueryOracle, wff: &Wff) -> bool {
+        oracle.entails(state, wff)
     }
 
-    fn consistent(&self, state: &ClauseSet) -> bool {
-        pwdb_logic::is_satisfiable(state)
+    fn consistent(&self, state: &ClauseSet, oracle: &QueryOracle) -> bool {
+        oracle.is_satisfiable(state)
     }
 
     fn world_count(&self, state: &ClauseSet, n_atoms: usize) -> u64 {
@@ -92,11 +106,14 @@ impl HluBackend for BluInstance {
         self.universe().clone()
     }
 
-    fn certain(&self, state: &WorldSet, wff: &Wff) -> bool {
+    /// The worlds are explicit; there is nothing to cache.
+    type Oracle = ();
+
+    fn certain(&self, state: &WorldSet, (): &(), wff: &Wff) -> bool {
         state.iter().all(|w| wff.eval(&w))
     }
 
-    fn consistent(&self, state: &WorldSet) -> bool {
+    fn consistent(&self, state: &WorldSet, (): &()) -> bool {
         !state.is_empty()
     }
 
@@ -120,7 +137,7 @@ impl HluBackend for BluInstance {
 #[derive(Debug, Clone)]
 pub struct Database<B: HluBackend> {
     backend: B,
-    state: B::State,
+    current: Current<B::State, B::Oracle>,
     constraints: Option<Wff>,
     updates_run: usize,
     history: Vec<HluProgram>,
@@ -193,10 +210,10 @@ impl<B: HluBackend> Database<B> {
     /// Builds over an explicit backend, starting at the no-information
     /// state.
     pub fn with_backend(backend: B) -> Self {
-        let state = backend.top();
+        let current = Current::new(backend.top());
         Database {
             backend,
-            state,
+            current,
             constraints: None,
             updates_run: 0,
             history: Vec::new(),
@@ -205,9 +222,10 @@ impl<B: HluBackend> Database<B> {
 
     /// Installs integrity constraints enforced after every update.
     pub fn with_constraints(mut self, constraints: Wff) -> Self {
-        self.state = self
+        let state = self
             .backend
-            .op_assert(&self.state, &self.backend.lower_state(&constraints));
+            .op_assert(self.state(), &self.backend.lower_state(&constraints));
+        self.current.replace(state);
         self.constraints = Some(constraints);
         self
     }
@@ -219,14 +237,14 @@ impl<B: HluBackend> Database<B> {
 
     /// The current state.
     pub fn state(&self) -> &B::State {
-        &self.state
+        self.current.state()
     }
 
     /// Replaces the state wholesale (e.g. to seed a benchmark). The
     /// statement history no longer derives the new state, so it is
     /// cleared.
     pub fn set_state(&mut self, state: B::State) {
-        self.state = state;
+        self.current.replace(state);
         self.history.clear();
     }
 
@@ -266,7 +284,7 @@ impl<B: HluBackend> Database<B> {
         );
         let compiled = compile(prog);
         let mut args: Vec<Value<B::State, B::Mask>> = Vec::with_capacity(compiled.args.len() + 1);
-        args.push(Value::State(self.state.clone()));
+        args.push(Value::State(self.state().clone()));
         for a in &compiled.args {
             args.push(match a {
                 ArgValue::State(w) => Value::State(self.backend.lower_state(w)),
@@ -285,7 +303,7 @@ impl<B: HluBackend> Database<B> {
                 .backend
                 .op_assert(&next, &self.backend.lower_state(con));
         }
-        self.state = next;
+        self.current.replace(next);
         self.updates_run += 1;
         self.history.push(prog.clone());
     }
@@ -316,16 +334,27 @@ impl<B: HluBackend> Database<B> {
     }
 
     /// Whether `wff` holds in every possible world.
+    ///
+    /// On the clausal backend the state's [`QueryOracle`] answers: one
+    /// DPLL solver per state version, built by the first query or
+    /// consistency check after the state changes, solved with the clauses
+    /// of `¬wff` as per-call assumptions and extras (the state is not
+    /// copied), and the first model of the state a solve finds, which
+    /// answers "not certain" with no search when it falsifies `wff`. The
+    /// answer always equals [`pwdb_logic::entails`] on [`Database::state`].
     pub fn is_certain(&self, wff: &Wff) -> bool {
         let _p = probe!(
             "hlu.query.certain",
             calls = "hlu.query.certain.calls",
             wall = "hlu.query.certain.wall",
         );
-        self.backend.certain(&self.state, wff)
+        self.backend
+            .certain(self.current.state(), self.current.oracle(), wff)
     }
 
-    /// Whether `wff` holds in at least one possible world.
+    /// Whether `wff` holds in at least one possible world: `¬wff` is not
+    /// certain, answered by the same oracle as [`Database::is_certain`]
+    /// (a kept model satisfying `wff` settles it).
     pub fn is_possible(&self, wff: &Wff) -> bool {
         let _p = probe!(
             "hlu.query.possible",
@@ -334,26 +363,34 @@ impl<B: HluBackend> Database<B> {
         );
         // `¬w` not certain means some world satisfies `w`, so the state is
         // consistent too: no separate satisfiability check is needed.
-        !self.backend.certain(&self.state, &wff.clone().not())
+        !self.backend.certain(
+            self.current.state(),
+            self.current.oracle(),
+            &wff.clone().not(),
+        )
     }
 
-    /// Whether any possible world remains.
+    /// Whether any possible world remains. On the clausal backend this is
+    /// free once the state's oracle has kept a model — after any
+    /// satisfiable query, and after the consistency check of a committed
+    /// [`Database::run_governed`] statement.
     pub fn is_consistent(&self) -> bool {
-        self.backend.consistent(&self.state)
+        self.backend
+            .consistent(self.current.state(), self.current.oracle())
     }
 
     /// The number of possible worlds over a universe of `n_atoms` atoms —
     /// the "amount of incompleteness" left in the database. Exact #SAT on
     /// the clausal backend; a popcount on the instance backend.
     pub fn world_count(&self, n_atoms: usize) -> u64 {
-        self.backend.world_count(&self.state, n_atoms)
+        self.backend.world_count(self.state(), n_atoms)
     }
 
     /// A savepoint capturing the current state (states are values; this
     /// is a cheap clone of the representation).
     pub fn savepoint(&self) -> Savepoint<B::State> {
         Savepoint {
-            state: self.state.clone(),
+            state: self.state().clone(),
             updates_run: self.updates_run,
             history_len: self.history.len(),
         }
@@ -362,7 +399,7 @@ impl<B: HluBackend> Database<B> {
     /// Restores a previously taken savepoint. Statements run since the
     /// savepoint are dropped from the history.
     pub fn rollback_to(&mut self, savepoint: Savepoint<B::State>) {
-        self.state = savepoint.state;
+        self.current.replace(savepoint.state);
         self.updates_run = savepoint.updates_run;
         self.history.truncate(savepoint.history_len);
     }
@@ -371,7 +408,7 @@ impl<B: HluBackend> Database<B> {
     /// [`LogicError::TooManyAtoms`] past the 64-atom packed-assignment
     /// limit instead of a panic.
     pub fn try_world_count(&self, n_atoms: usize) -> Result<u128, LogicError> {
-        self.backend.try_world_count(&self.state, n_atoms)
+        self.backend.try_world_count(self.state(), n_atoms)
     }
 
     /// Runs one statement under resource `limits`, transactionally — the
@@ -404,7 +441,7 @@ impl<B: HluBackend> Database<B> {
             let this = &mut *self;
             pwdb_logic::govern(limits, move || {
                 this.run(prog);
-                this.backend.consistent(&this.state)
+                this.is_consistent()
             })
         };
         sp.attr("steps", governor::last_spent());
@@ -588,6 +625,41 @@ pub struct Savepoint<S> {
     state: S,
     updates_run: usize,
     history_len: usize,
+}
+
+mod current {
+    /// A state together with the query oracle of exactly that state
+    /// version. The fields are private to this module, so the one way to
+    /// change the state, [`Current::replace`], also drops the oracle.
+    #[derive(Debug, Clone)]
+    pub(super) struct Current<S, O> {
+        state: S,
+        oracle: O,
+    }
+
+    impl<S, O: Default> Current<S, O> {
+        pub(super) fn new(state: S) -> Self {
+            Current {
+                state,
+                oracle: O::default(),
+            }
+        }
+
+        pub(super) fn state(&self) -> &S {
+            &self.state
+        }
+
+        pub(super) fn oracle(&self) -> &O {
+            &self.oracle
+        }
+
+        /// A new state version starts with an empty oracle, since the
+        /// old one answers for the old state.
+        pub(super) fn replace(&mut self, state: S) {
+            self.state = state;
+            self.oracle = O::default();
+        }
+    }
 }
 
 #[cfg(test)]

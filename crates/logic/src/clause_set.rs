@@ -148,21 +148,46 @@ impl ClauseSet {
     /// (distinct equal-length clauses never subsume each other, so
     /// "subsumed by another member" is a strict order on lengths) — and
     /// equals the all-pairs scan of [`crate::reference::reduce_subsumed`].
-    /// Members are re-inserted ascending by length through the
-    /// occurrence index, where only forward checks can fire.
+    ///
+    /// One forward-only sweep in place: the members are visited ascending
+    /// by length, and each one that no kept member subsumes is kept,
+    /// bucketed by first literal in a borrowed
+    /// [`SubsumerIndex`](crate::index::SubsumerIndex). A longer member can
+    /// never subsume a shorter one, so no backward check is needed. Only
+    /// the subsumed members are then removed from the set; when none is,
+    /// the set is left untouched. A set holding `□` reduces to `{□}`
+    /// without a sweep.
     pub fn reduce_subsumed(&mut self) -> usize {
         let sp = pwdb_metrics::span!("logic.subsumption.sweep", "clauses_in" => self.clauses.len());
         let before = self.clauses.len();
-        let mut order: Vec<Clause> = std::mem::take(&mut self.clauses).into_iter().collect();
-        order.sort_by_key(Clause::len);
-        let mut idx = crate::index::IndexedClauseSet::new();
-        for c in order {
-            // Raw variant: an existing tautology is a member like any
-            // other here (removable, but not auto-dropped).
-            idx.insert_with_subsumption_raw(c);
+        if self.has_empty_clause() {
+            crate::governor::step();
+            if before > 1 {
+                *self = Self::contradiction();
+            }
+        } else {
+            let mut order: Vec<(usize, &Clause)> = self.clauses.iter().enumerate().collect();
+            order.sort_by_key(|(_, c)| c.len());
+            let mut kept = crate::index::SubsumerIndex::new();
+            let mut doomed = vec![false; before];
+            for (i, c) in order {
+                let sig = crate::index::signature(c);
+                if kept.is_forward_subsumed(c, sig) {
+                    doomed[i] = true;
+                } else {
+                    kept.push(c, sig);
+                }
+            }
+            if kept.len() < before {
+                let mut i = 0;
+                self.clauses.retain(|_| {
+                    i += 1;
+                    !doomed[i - 1]
+                });
+            }
         }
-        *self = idx.into_set();
         let dropped = before - self.clauses.len();
+        pwdb_metrics::counter!("logic.subsumption.forward_hits").add(dropped as u64);
         sp.attr("dropped", dropped);
         dropped
     }

@@ -1,4 +1,5 @@
-//! A complete DPLL SAT solver over clause sets.
+//! A complete DPLL SAT solver over clause sets, and the per-state query
+//! oracle built on it.
 //!
 //! The paper's algorithms lean on semantic questions that are NP-hard in
 //! general — dependence of a clause set on a letter is NP-complete
@@ -6,7 +7,22 @@
 //! a classical recursive DPLL with unit propagation and pure-literal
 //! elimination; clause sets in this domain are small enough that watched
 //! literals and clause learning would be over-engineering, but the solver
-//! is exact and handles the worst cases the benchmarks construct.
+//! is exact and handles the worst cases the benchmarks construct. A scan
+//! allocates nothing: it counts a clause's open literals and remembers
+//! the last one, which is all unit propagation needs, and the pure-literal
+//! pass reads the open clauses directly.
+//!
+//! A [`Solver`] copies its clause set once. Questions about one set then
+//! share it: [`Solver::solve_with`] takes per-call assumption literals and
+//! [`Solver::solve_with_clauses`] also per-call extra clauses, so
+//! `Φ ⊨ ψ` (as `unsat(Φ ∧ ¬ψ)`) never copies `Φ`. [`QueryOracle`] keeps
+//! such a solver, built on first use, for one state version, plus the
+//! first model of that state a solve finds, which settles many queries
+//! with no search.
+//! The free functions [`entails`] and [`is_satisfiable`] build a solver
+//! per call.
+
+use std::sync::OnceLock;
 
 use pwdb_metrics::{counter, span};
 
@@ -14,23 +30,32 @@ use crate::atom::AtomId;
 use crate::clause::Clause;
 use crate::clause_set::ClauseSet;
 use crate::literal::Literal;
-use crate::truth::Assignment;
+use crate::truth::{Assignment, MAX_ATOMS};
 use crate::wff::Wff;
 
 /// A reusable DPLL solver instance.
 ///
-/// Holds the clause database in an indexed form. Assumption literals may
-/// be supplied per query, which is how entailment (`Φ ⊨ ψ` as
-/// `unsat(Φ ∧ ¬ψ)`) is implemented without copying `Φ`.
+/// Holds the clause database in an indexed form. Assumption literals and
+/// extra clauses may be supplied per query, which is how entailment
+/// (`Φ ⊨ ψ` as `unsat(Φ ∧ ¬ψ)`) is answered without copying `Φ`.
 pub struct Solver {
-    clauses: Vec<Vec<Literal>>,
+    /// The literals of every clause, back to back.
+    lits: Vec<Literal>,
+    /// Where each clause ends in `lits`.
+    ends: Vec<usize>,
     n_atoms: usize,
 }
 
 /// Result of a satisfiability query: a model if one exists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SatResult {
-    /// Satisfiable, with a witness over atoms `0..n_atoms`.
+    /// Satisfiable, with a witness over the atoms `0..min(n, 64)`, where
+    /// `n` is the call's atom universe (the solver's, widened by the
+    /// call's assumptions and extra clauses). An [`Assignment`] packs at
+    /// most [`MAX_ATOMS`] atoms, so past 64 atoms the witness is
+    /// *truncated*: it is the restriction of a model to atoms 0–63 and
+    /// says nothing about the atoms above. Check [`Assignment::len`]
+    /// before reading an atom from it.
     Sat(Assignment),
     /// Unsatisfiable.
     Unsat,
@@ -45,7 +70,7 @@ impl SatResult {
 
 /// Per-call search statistics, accumulated through the recursion and
 /// flushed to the global counters (and the call's trace span) once per
-/// [`Solver::solve_with`].
+/// solve.
 #[derive(Default)]
 struct DpllStats {
     decisions: u64,
@@ -53,17 +78,31 @@ struct DpllStats {
     conflicts: u64,
 }
 
+/// A clause's status under a partial assignment.
+enum ClauseState {
+    Satisfied,
+    /// Every literal is false.
+    Conflict,
+    /// Exactly one literal is unassigned and the rest are false.
+    Unit(Literal),
+    /// Two or more literals are unassigned and the rest are false.
+    Open,
+}
+
 impl Solver {
     /// Builds a solver over `set`, with the atom universe sized to the
     /// larger of the set's own bound and `min_atoms`.
     pub fn new(set: &ClauseSet, min_atoms: usize) -> Self {
-        let n_atoms = set.atom_bound().max(min_atoms);
-        let clauses = set
-            .iter()
-            .filter(|c| !c.is_tautology())
-            .map(|c| c.literals().to_vec())
-            .collect();
-        Solver { clauses, n_atoms }
+        let mut solver = Solver {
+            lits: Vec::with_capacity(set.length()),
+            ends: Vec::with_capacity(set.len()),
+            n_atoms: set.atom_bound().max(min_atoms),
+        };
+        for c in set.iter().filter(|c| !c.is_tautology()) {
+            solver.lits.extend_from_slice(c.literals());
+            solver.ends.push(solver.lits.len());
+        }
+        solver
     }
 
     /// Adds one clause to the database.
@@ -72,7 +111,8 @@ impl Solver {
             return;
         }
         self.n_atoms = self.n_atoms.max(clause.atom_bound());
-        self.clauses.push(clause.literals().to_vec());
+        self.lits.extend_from_slice(clause.literals());
+        self.ends.push(self.lits.len());
     }
 
     /// Number of atoms in the solver's universe.
@@ -82,18 +122,37 @@ impl Solver {
 
     /// Solves under the given assumption literals.
     pub fn solve_with(&self, assumptions: &[Literal]) -> SatResult {
+        self.solve_with_clauses(assumptions, &[])
+    }
+
+    /// Solves under the given assumption literals with `extra` clauses
+    /// conjoined for this call only; the solver's own clauses are not
+    /// touched. Tautological extras are skipped, as [`Solver::add_clause`]
+    /// skips them.
+    pub fn solve_with_clauses(&self, assumptions: &[Literal], extra: &[&Clause]) -> SatResult {
         counter!("logic.dpll.solves").inc();
+        let mut clauses: Vec<&[Literal]> = Vec::with_capacity(self.ends.len() + extra.len());
+        let mut start = 0;
+        for &end in &self.ends {
+            clauses.push(&self.lits[start..end]);
+            start = end;
+        }
+        let mut n_atoms = self.n_atoms;
+        for c in extra.iter().filter(|c| !c.is_tautology()) {
+            n_atoms = n_atoms.max(c.atom_bound());
+            clauses.push(c.literals());
+        }
         let sp = span!(
             "logic.dpll.solve",
-            "clauses" => self.clauses.len(),
-            "atoms" => self.n_atoms,
+            "clauses" => clauses.len(),
+            "atoms" => n_atoms,
         );
-        let mut values: Vec<Option<bool>> = vec![None; self.n_atoms];
+        let n_atoms = assumptions
+            .iter()
+            .fold(n_atoms, |n, l| n.max(l.atom().index() + 1));
+        let mut values: Vec<Option<bool>> = vec![None; n_atoms];
         for &lit in assumptions {
             let idx = lit.atom().index();
-            if idx >= values.len() {
-                values.resize(idx + 1, None);
-            }
             match values[idx] {
                 Some(v) if v != lit.is_positive() => {
                     sp.attr("sat", false);
@@ -103,7 +162,7 @@ impl Solver {
             }
         }
         let mut stats = DpllStats::default();
-        let sat = self.dpll(&mut values, &mut stats);
+        let sat = dpll(&clauses, &mut values, &mut stats);
         counter!("logic.dpll.decisions").add(stats.decisions);
         counter!("logic.dpll.propagations").add(stats.propagations);
         counter!("logic.dpll.conflicts").add(stats.conflicts);
@@ -114,7 +173,7 @@ impl Solver {
             sp.attr("sat", sat);
         }
         if sat {
-            let n = values.len().min(64);
+            let n = values.len().min(MAX_ATOMS);
             let mut bits = 0u64;
             for (i, v) in values.iter().take(n).enumerate() {
                 if v.unwrap_or(false) {
@@ -131,101 +190,246 @@ impl Solver {
     pub fn solve(&self) -> SatResult {
         self.solve_with(&[])
     }
+}
 
-    /// Clause status under a partial assignment: `None` if satisfied,
-    /// otherwise the unassigned literals.
-    fn clause_state(clause: &[Literal], values: &[Option<bool>]) -> Option<Vec<Literal>> {
-        let mut open = Vec::new();
-        for &lit in clause {
-            match values.get(lit.atom().index()).copied().flatten() {
-                Some(v) if v == lit.is_positive() => return None, // satisfied
-                Some(_) => {}                                     // falsified literal
-                None => open.push(lit),
+/// A clause's status under a partial assignment that covers its atoms.
+fn clause_state(clause: &[Literal], values: &[Option<bool>]) -> ClauseState {
+    let mut open = 0usize;
+    let mut last = None;
+    for &lit in clause {
+        match values[lit.atom().index()] {
+            Some(v) if v == lit.is_positive() => return ClauseState::Satisfied,
+            Some(_) => {} // falsified literal
+            None => {
+                open += 1;
+                last = Some(lit);
             }
         }
-        Some(open)
     }
+    match last {
+        None => ClauseState::Conflict,
+        Some(lit) if open == 1 => ClauseState::Unit(lit),
+        Some(_) => ClauseState::Open,
+    }
+}
 
-    fn dpll(&self, values: &mut Vec<Option<bool>>, stats: &mut DpllStats) -> bool {
-        // Unit propagation to fixpoint. Each round (and each search
-        // node) charges one step per clause scanned.
-        loop {
-            crate::governor::step_n(self.clauses.len() as u64 + 1);
-            let mut changed = false;
-            for clause in &self.clauses {
-                match Self::clause_state(clause, values) {
-                    None => {}
-                    Some(open) if open.is_empty() => {
-                        stats.conflicts += 1;
-                        return false;
-                    }
-                    Some(open) if open.len() == 1 => {
-                        let lit = open[0];
-                        values[lit.atom().index()] = Some(lit.is_positive());
-                        stats.propagations += 1;
-                        changed = true;
-                    }
-                    Some(_) => {}
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        // Pure-literal elimination and branch selection in one pass:
-        // track polarity occurrences among unresolved clauses.
-        let mut seen_pos = vec![false; values.len()];
-        let mut seen_neg = vec![false; values.len()];
-        let mut branch: Option<AtomId> = None;
-        let mut any_open = false;
-        for clause in &self.clauses {
-            if let Some(open) = Self::clause_state(clause, values) {
-                if open.is_empty() {
+/// The search: `values` covers every atom of `clauses`.
+fn dpll(clauses: &[&[Literal]], values: &mut Vec<Option<bool>>, stats: &mut DpllStats) -> bool {
+    // Unit propagation to fixpoint. Each round (and each search node)
+    // charges one step per clause scanned.
+    loop {
+        crate::governor::step_n(clauses.len() as u64 + 1);
+        let mut changed = false;
+        for clause in clauses {
+            match clause_state(clause, values) {
+                ClauseState::Conflict => {
                     stats.conflicts += 1;
                     return false;
                 }
-                any_open = true;
-                for lit in open {
-                    let idx = lit.atom().index();
-                    if lit.is_positive() {
-                        seen_pos[idx] = true;
-                    } else {
-                        seen_neg[idx] = true;
-                    }
-                    if branch.is_none() {
-                        branch = Some(lit.atom());
-                    }
+                ClauseState::Unit(lit) => {
+                    values[lit.atom().index()] = Some(lit.is_positive());
+                    stats.propagations += 1;
+                    changed = true;
                 }
+                ClauseState::Satisfied | ClauseState::Open => {}
             }
         }
-        if !any_open {
-            return true; // all clauses satisfied
+        if !changed {
+            break;
         }
+    }
 
-        // Assign pure literals (cannot flip any satisfied clause).
-        let mut assigned_pure = false;
-        for i in 0..values.len() {
-            if values[i].is_none() && (seen_pos[i] ^ seen_neg[i]) {
-                values[i] = Some(seen_pos[i]);
-                assigned_pure = true;
+    // Pure-literal elimination and branch selection in one pass: track
+    // the polarities of the unassigned literals of unresolved clauses
+    // (bit 1 positive, bit 2 negative).
+    let mut seen = vec![0u8; values.len()];
+    let mut branch: Option<AtomId> = None;
+    let mut any_open = false;
+    for clause in clauses {
+        match clause_state(clause, values) {
+            ClauseState::Satisfied => continue,
+            ClauseState::Conflict => {
+                stats.conflicts += 1;
+                return false;
+            }
+            ClauseState::Unit(_) | ClauseState::Open => {}
+        }
+        any_open = true;
+        for &lit in *clause {
+            let idx = lit.atom().index();
+            if values[idx].is_some() {
+                continue;
+            }
+            seen[idx] |= if lit.is_positive() { 1 } else { 2 };
+            if branch.is_none() {
+                branch = Some(lit.atom());
             }
         }
-        if assigned_pure {
-            return self.dpll(values, stats);
-        }
+    }
+    if !any_open {
+        return true; // all clauses satisfied
+    }
 
-        let atom = branch.expect("open clause implies an unassigned literal");
-        stats.decisions += 1;
-        let idx = atom.index();
-        let snapshot = values.clone();
-        values[idx] = Some(true);
-        if self.dpll(values, stats) {
+    // Assign pure literals (cannot flip any satisfied clause).
+    let mut assigned_pure = false;
+    for (value, &polarity) in values.iter_mut().zip(&seen) {
+        if value.is_none() && (polarity == 1 || polarity == 2) {
+            *value = Some(polarity == 1);
+            assigned_pure = true;
+        }
+    }
+    if assigned_pure {
+        return dpll(clauses, values, stats);
+    }
+
+    let atom = branch.expect("open clause implies an unassigned literal");
+    stats.decisions += 1;
+    let idx = atom.index();
+    let snapshot = values.clone();
+    values[idx] = Some(true);
+    if dpll(clauses, values, stats) {
+        return true;
+    }
+    *values = snapshot;
+    values[idx] = Some(false);
+    dpll(clauses, values, stats)
+}
+
+/// Entailment and satisfiability answers about one clause set, from one
+/// [`Solver`] built on first use and the first model of the set that a
+/// solve finds.
+///
+/// The oracle does not hold the set: every call must pass the set the
+/// oracle was first used with (debug builds check its size), and its
+/// owner replaces the oracle when the set changes (`pwdb_hlu::Database`
+/// does so on every write to its state). Each answer equals the free
+/// function's ([`entails`], [`is_satisfiable`]) on that set:
+///
+/// * `entails(Φ, w)` converts `N = cnf_of(¬w)`. If `N` holds `□`, the
+///   answer is yes. If the kept model covers every atom of `N` and
+///   satisfies `N`, the answer is no, with no search. Otherwise one solve
+///   on the cached solver decides it: `N`'s unit clauses become
+///   assumptions and its other clauses per-call extras.
+/// * `is_satisfiable(Φ)` is yes as soon as a model is kept.
+///
+/// The kept model comes from a solve on `Φ`, so it is a model of `Φ`; a
+/// model truncated to 64 atoms (see [`SatResult::Sat`]) only decides
+/// queries whose atoms it covers. On the benchmark workloads that one
+/// model answers about half of all entailment queries; keeping the last
+/// eight models instead answered under one point more. The oracle is
+/// `Send + Sync`; a clone starts empty.
+#[derive(Default)]
+pub struct QueryOracle {
+    /// Boxed so that an unused oracle is one pointer and a once-flag:
+    /// every database carries one, and many states are replaced before
+    /// anything asks about them.
+    cache: OnceLock<Box<OracleCache>>,
+}
+
+/// What a [`QueryOracle`] builds on first use.
+struct OracleCache {
+    solver: Solver,
+    /// The size of the set the solver was built from, as
+    /// [`set_size`] gives it.
+    built_from: (usize, usize),
+    /// The first model of the set that a solve found.
+    model: OnceLock<Assignment>,
+}
+
+/// A clause set's member and literal counts: what a debug build checks
+/// to catch an oracle asked about another set.
+fn set_size(set: &ClauseSet) -> (usize, usize) {
+    (set.len(), set.length())
+}
+
+impl QueryOracle {
+    /// An oracle that has not solved anything yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether `set ⊨ wff`: the answer of [`entails`].
+    pub fn entails(&self, set: &ClauseSet, wff: &Wff) -> bool {
+        let negated = crate::cnf::cnf_of(&wff.clone().not());
+        if negated.has_empty_clause() {
             return true;
         }
-        *values = snapshot;
-        values[idx] = Some(false);
-        self.dpll(values, stats)
+        let bound = negated.atom_bound();
+        if self
+            .model(set)
+            .is_some_and(|m| bound <= m.len() && negated.eval(m))
+        {
+            return false;
+        }
+        let mut assumptions = Vec::new();
+        let mut extra = Vec::new();
+        for c in negated.iter() {
+            match c.literals() {
+                [lit] => assumptions.push(*lit),
+                _ => extra.push(c),
+            }
+        }
+        !self.solve(set, &assumptions, &extra)
+    }
+
+    /// Whether `set` has a model: the answer of [`is_satisfiable`].
+    pub fn is_satisfiable(&self, set: &ClauseSet) -> bool {
+        self.model(set).is_some() || self.solve(set, &[], &[])
+    }
+
+    /// The kept model of `set`, if a solve has found one.
+    fn model(&self, set: &ClauseSet) -> Option<&Assignment> {
+        let cache = self.cache.get()?;
+        debug_assert_eq!(
+            cache.built_from,
+            set_size(set),
+            "oracle asked about another set"
+        );
+        cache.model.get()
+    }
+
+    /// One solve on the cached solver; keeps the first model found.
+    fn solve(&self, set: &ClauseSet, assumptions: &[Literal], extra: &[&Clause]) -> bool {
+        let cache = self.cache.get_or_init(|| {
+            Box::new(OracleCache {
+                solver: Solver::new(set, 0),
+                built_from: set_size(set),
+                model: OnceLock::new(),
+            })
+        });
+        debug_assert_eq!(
+            cache.built_from,
+            set_size(set),
+            "oracle asked about another set"
+        );
+        match cache.solver.solve_with_clauses(assumptions, extra) {
+            SatResult::Sat(model) => {
+                let _ = cache.model.set(model);
+                true
+            }
+            SatResult::Unsat => false,
+        }
+    }
+}
+
+impl Clone for QueryOracle {
+    /// An empty oracle: the cached solver and model derive from the set
+    /// and are rebuilt on demand.
+    fn clone(&self) -> Self {
+        Self::new()
+    }
+}
+
+impl std::fmt::Debug for QueryOracle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let cache = self.cache.get();
+        f.debug_struct("QueryOracle")
+            .field("solver_built", &cache.is_some())
+            .field(
+                "model_kept",
+                &cache.is_some_and(|c| c.model.get().is_some()),
+            )
+            .finish()
     }
 }
 

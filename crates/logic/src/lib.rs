@@ -60,7 +60,7 @@ pub use clause::Clause;
 pub use clause_set::ClauseSet;
 pub use cnf::{clauses_to_wff, cnf_of};
 pub use counting::{count_models, try_count_models};
-pub use dpll::{entails, entails_clauses, equivalent, is_satisfiable, Solver};
+pub use dpll::{entails, entails_clauses, equivalent, is_satisfiable, QueryOracle, Solver};
 pub use error::{LogicError, Result};
 pub use governor::{govern, Budget, CancelToken, ExecError, Limits, Resource};
 pub use implicates::{is_implicate, is_prime_implicate, prime_implicates};

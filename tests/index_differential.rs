@@ -352,3 +352,214 @@ fn degenerate_inputs_agree() {
         engine_agrees(name, set, set);
     }
 }
+
+/// Atom ids for the flat-index cases: dense low ids, the 64-atom word
+/// boundary and far sparse ids, so occurrence vectors indexed by literal
+/// code must grow on demand.
+const SPARSE_ATOMS: [u32; 8] = [0, 1, 2, 5, 63, 64, 200, 1000];
+
+/// A clause over `SPARSE_ATOMS` with `len` literals drawn at random
+/// (duplicates merge, complementary pairs stay: tautologies included).
+fn sparse_clause(rng: &mut Rng, len: usize) -> Clause {
+    let lits = (0..len)
+        .map(|_| {
+            Literal::new(
+                AtomId(SPARSE_ATOMS[rng.index(SPARSE_ATOMS.len())]),
+                rng.coin(),
+            )
+        })
+        .collect();
+    Clause::new(lits)
+}
+
+/// `ClauseSet::reduce_subsumed`'s sweep over first-literal buckets equals
+/// the all-pairs reference bit for bit — result and drop count — on
+/// random sets with raw tautologies, `□`, runs of equal-length clauses
+/// and sparse atom ids.
+#[test]
+fn reduce_sweep_agrees_on_sparse_sets() {
+    let mut rng = Rng::new(0x5EED_F1A7);
+    let mut dropped_somewhere = 0;
+    for case in 0..256 {
+        let mut set = ClauseSet::new();
+        let n = rng.range_usize(0, 40);
+        // A quarter of the cases use one clause length throughout.
+        let fixed_len = (case % 4 == 0).then(|| rng.range_usize(1, 5));
+        for _ in 0..n {
+            let len = fixed_len.unwrap_or_else(|| rng.range_usize(1, 6));
+            set.insert_raw(sparse_clause(&mut rng, len));
+        }
+        if case % 16 == 5 {
+            set.insert_raw(Clause::empty());
+        }
+        let (reference_set, reference_dropped) = on_copy(&set, reference::reduce_subsumed);
+        let engine = on_copy(&set, ClauseSet::reduce_subsumed);
+        run_both(
+            &format!("reduce_subsumed sparse #{case}"),
+            (reference_set, reference_dropped),
+            engine,
+        );
+        dropped_somewhere += usize::from(reference_dropped > 0);
+    }
+    assert!(dropped_somewhere >= 64, "too few cases drop anything");
+}
+
+/// A naive model of `IndexedClauseSet`: slots in insertion order, `None`
+/// once a member is removed, every question answered by a scan.
+#[derive(Default)]
+struct NaiveIndex {
+    slots: Vec<Option<Clause>>,
+}
+
+impl NaiveIndex {
+    fn live(&self) -> impl Iterator<Item = (u32, &Clause)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| c.as_ref().map(|c| (i as u32, c)))
+    }
+
+    fn slot_of(&self, clause: &Clause) -> Option<u32> {
+        self.live().find(|(_, c)| *c == clause).map(|(i, _)| i)
+    }
+
+    fn insert_raw(&mut self, clause: Clause) -> Option<u32> {
+        if self.slot_of(&clause).is_some() {
+            return None;
+        }
+        self.slots.push(Some(clause));
+        Some(self.slots.len() as u32 - 1)
+    }
+
+    fn insert_with_subsumption(&mut self, clause: Clause) -> bool {
+        if clause.is_tautology()
+            || self.slot_of(&clause).is_some()
+            || self.live().any(|(_, c)| c.subsumes(&clause))
+        {
+            return false;
+        }
+        for slot in &mut self.slots {
+            if slot.as_ref().is_some_and(|c| clause.subsumes(c)) {
+                *slot = None;
+            }
+        }
+        self.slots.push(Some(clause));
+        true
+    }
+
+    fn partners(&self, lit: Literal) -> Vec<u32> {
+        self.live()
+            .filter(|(_, c)| c.contains(lit))
+            .map(|(i, _)| i)
+            .collect()
+    }
+}
+
+/// Compares every observable of the index with the model.
+fn index_matches_model(ctx: &str, idx: &IndexedClauseSet, model: &NaiveIndex, probes: &[Clause]) {
+    let live: Vec<(u32, Clause)> = model.live().map(|(i, c)| (i, c.clone())).collect();
+    assert_eq!(idx.len(), live.len(), "{ctx}: len");
+    assert_eq!(
+        idx.live_slots(),
+        live.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
+        "{ctx}: live slots"
+    );
+    assert!(
+        idx.iter().eq(live.iter().map(|(_, c)| c)),
+        "{ctx}: members in slot order"
+    );
+    assert_eq!(
+        idx.has_empty_clause(),
+        live.iter().any(|(_, c)| c.is_empty()),
+        "{ctx}: □"
+    );
+    for c in probes.iter().chain(live.iter().map(|(_, c)| c)) {
+        assert_eq!(
+            idx.contains(c),
+            model.slot_of(c).is_some(),
+            "{ctx}: contains {c}"
+        );
+        assert_eq!(idx.slot_of(c), model.slot_of(c), "{ctx}: slot_of {c}");
+    }
+    for &a in &SPARSE_ATOMS {
+        for lit in [Literal::pos(AtomId(a)), Literal::neg(AtomId(a))] {
+            assert_eq!(
+                idx.partners(lit),
+                model.partners(lit),
+                "{ctx}: partners {lit}"
+            );
+        }
+    }
+}
+
+/// Random `IndexedClauseSet` operation sequences match the naive model
+/// after every operation: `insert_raw`, `insert_with_subsumption`,
+/// `contains`, `slot_of`, `partners`. Each case opens with 100 clauses
+/// that one unit then subsumes, so the dead occurrences outnumber the
+/// live ones and the occurrence lists are compacted; removals continue
+/// through the random tail.
+#[test]
+fn indexed_set_operations_match_naive_model() {
+    let mut rng = Rng::new(0x1DE5_0CC5);
+    for case in 0..24 {
+        let mut idx = IndexedClauseSet::new();
+        let mut model = NaiveIndex::default();
+        let pivot = Literal::new(
+            AtomId(SPARSE_ATOMS[rng.index(SPARSE_ATOMS.len())]),
+            rng.coin(),
+        );
+        let mut added = 0;
+        while added < 100 {
+            let c = Clause::new(
+                std::iter::once(pivot)
+                    .chain(sparse_clause(&mut rng, 3).literals().iter().copied())
+                    .collect(),
+            );
+            let slot = model.insert_raw(c.clone());
+            assert_eq!(idx.insert_raw(c), slot, "case {case}: prefix insert_raw");
+            added += usize::from(slot.is_some());
+        }
+        let unit = Clause::unit(pivot);
+        assert_eq!(
+            idx.insert_with_subsumption(unit.clone()),
+            model.insert_with_subsumption(unit),
+            "case {case}: pivot unit"
+        );
+        index_matches_model(&format!("case {case} after pivot"), &idx, &model, &[]);
+
+        for step in 0..300 {
+            let ctx = format!("case {case} step {step}");
+            let c = match rng.index(10) {
+                0 => Clause::empty(),
+                k => sparse_clause(&mut rng, 1 + k % 5),
+            };
+            if rng.index(4) == 0 && !c.is_empty() {
+                assert_eq!(
+                    idx.insert_raw(c.clone()),
+                    model.insert_raw(c.clone()),
+                    "{ctx}: raw"
+                );
+            } else if !c.is_empty() || rng.index(8) == 0 {
+                assert_eq!(
+                    idx.insert_with_subsumption(c.clone()),
+                    model.insert_with_subsumption(c.clone()),
+                    "{ctx}: insert_with_subsumption {c}"
+                );
+            }
+            if step % 10 == 9 {
+                let probes: Vec<Clause> = (0..8)
+                    .map(|i| sparse_clause(&mut rng, 1 + i % 4))
+                    .chain([c, Clause::empty()])
+                    .collect();
+                index_matches_model(&ctx, &idx, &model, &probes);
+            }
+        }
+        assert_eq!(idx.to_set(), {
+            let mut s = ClauseSet::new();
+            for (_, c) in model.live() {
+                s.insert_raw(c.clone());
+            }
+            s
+        });
+    }
+}
